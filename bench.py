@@ -21,7 +21,9 @@ import time
 from raydedup.io import read_parquet as _read_parquet
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# default to the host's core count: a fixed 32 oversubscribes smaller hosts
+# and makes per-core figures incomparable across machines
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
 REPLICAS = int(os.environ.get("BENCH_REPLICAS", "29"))
 # scaling runs use a larger corpus (1.25M files) so the parallel fraction
 # dominates the fixed per-stage scheduling constants (Amdahl; see

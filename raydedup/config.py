@@ -49,7 +49,6 @@ class SigConfig:
     # skew handling
     max_bucket_size: int = 256      # LSH buckets above this get salted
     salt_factor: int = 16           # number of salt sub-buckets for hot keys
-    bucket_ceiling: int = 20000     # retired: stars now span whole buckets
     # substring tier
     winnow_k: int = 24              # token-gram length for substring fingerprints
     winnow_window: int = 16         # winnowing window (guarantee t = k + w - 1)

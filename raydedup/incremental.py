@@ -83,12 +83,13 @@ def incremental_dup_pairs(
     e_exact = exact_edges(all_sigs).map_batches(
         _cross_filter(boundary), batch_format="pyarrow"
     )
-    # bucket_waves, not auto: the hybrid layout has no cross_min_id
-    # (base×base pairs must be dropped BEFORE verification here), while
-    # bucket_waves carries it and collapses to plain bucket whenever the
-    # estimated band shuffle fits the byte budget (num_waves == 1) — so
-    # small deltas run exactly the old plan and huge ones bound their
-    # shuffle to object-store-sized waves instead of spilling.
+    # bucket_waves, not auto: auto's hybrid layout would broadcast the
+    # sketch table of the WHOLE base + delta corpus to verify pairs that
+    # all touch the delta, while bucket_waves drops base×base pairs before
+    # verification and collapses to plain bucket whenever the estimated
+    # band shuffle fits the byte budget (num_waves == 1) — so small deltas
+    # run exactly the old plan and huge ones bound their shuffle to
+    # object-store-sized waves instead of spilling.
     e_near = near_edges(
         all_sigs, cfg, hot, mode="bucket_waves", cross_min_id=boundary
     ).select_columns(["src", "dst"])
@@ -256,9 +257,10 @@ def _finish_incremental(
 # so per-task memory stays bounded.
 #
 # Trade-offs, stated: the band index carries the kmv verify payload per band
-# row (~bands × kmv bytes per doc). At extreme scale store ids-only band
-# rows and verify via the existing join mode (near_edges mode='join')
-# instead. Salting is OFF in the indexed path (salt assignments are
+# row (~bands × kmv bytes per doc). At extreme scale use incremental_dedup()
+# above instead: it stores no band index, and its near tier runs
+# near_edges mode='bucket_waves', which bounds each wave's sketch-carrying
+# shuffle to the object store. Salting is OFF in the indexed path (salt assignments are
 # per-run; they would misalign delta keys vs indexed keys) — over-size
 # buckets degrade to the representative-star ceiling, same as the
 # unsalted flagship.
@@ -359,7 +361,7 @@ def write_dedup_index(
     )
 
     band = base_sigs.map_batches(
-        BandEmitStage(cfg, None, carry_kmv=True, carry_bandhashes=True),
+        BandEmitStage(cfg, None, carry_kmv=True),
         batch_format="pyarrow",
     )
 
@@ -482,7 +484,7 @@ def incremental_dedup_indexed(
 
     # near tier: delta band rows shuffle; base band partitions stream
     delta_band = delta_sigs.map_batches(
-        BandEmitStage(cfg, None, carry_kmv=True, carry_bandhashes=True),
+        BandEmitStage(cfg, None, carry_kmv=True),
         batch_format="pyarrow",
     ).map_batches(band_part, batch_format="pyarrow")
     near_emitter = make_block_pair_emitter(

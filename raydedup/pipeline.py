@@ -203,8 +203,8 @@ def detect_hot_band_keys(
     (> max_bucket_size occurrences) is seen Ω(sample·max_bucket_size) times
     in the sample, far above detection noise, while the pass cost drops by
     1/sample. Counts and thresholds are rescaled by 1/sample; a missed
-    borderline key only means an unsalted largish bucket, handled by the
-    bucket-ceiling ladder.
+    borderline key only means an unsalted largish bucket, which degrades
+    to a representative star once it exceeds max_bucket_size.
 
     The Misra-Gries partials accumulate per BLOCK and merge in Ray's
     AggregateFn combiner tree — the driver receives exactly ONE merged
@@ -212,10 +212,11 @@ def detect_hot_band_keys(
     take_all()-of-partials pattern would ship ~1e8 sketches driver-side).
 
     Hot selection uses the LOWER-bound count (NO_FALSE_POSITIVES): a missed
-    borderline-hot key only means an unsalted large bucket (handled by the
-    bucket-ceiling ladder), while false positives would salt thousands of
-    ordinary buckets and inflate the delegate round (observed with the
-    upper-bound mode: MG offsets accumulated across block partials)."""
+    borderline-hot key only means an unsalted large bucket (a
+    representative star above max_bucket_size), while false positives
+    would salt thousands of ordinary buckets and inflate the delegate
+    round (observed with the upper-bound mode: MG offsets accumulated
+    across block partials)."""
     from ray.data.aggregate import AggregateFn
 
     from .hashing import splitmix64 as _smix
@@ -336,7 +337,6 @@ def _banded(
     hot: dict[int, int] | None,
     carry_kmv: bool,
     verify: bool,
-    carry_bandhashes: bool = True,
     cross_min_id: int | None = None,
     wave: tuple[int, int] | None = None,
 ) -> "ray.data.Dataset":
@@ -344,38 +344,19 @@ def _banded(
     if carry_kmv:
         cols += ["kmv_theta", "kmv"]
     band = sigs.select_columns(cols).map_batches(
-        BandEmitStage(
-            cfg,
-            hot,
-            carry_kmv=carry_kmv,
-            carry_bandhashes=carry_bandhashes,
-            wave=wave,
-        ),
+        BandEmitStage(cfg, hot, carry_kmv=carry_kmv, wave=wave),
         batch_format="pyarrow",
     )
-    from .hashing import splitmix64 as _smix
     from .stages import make_block_pair_emitter
 
-    # Hash-partition buckets into ~2 groups per CPU: the per-GROUP python
-    # call overhead of groupby().map_groups is paid only nparts times; each
-    # group processes ALL its buckets vectorized (make_block_pair_emitter).
+    # one python call per hash partition, not per bucket: each partition
+    # processes ALL its buckets vectorized (make_block_pair_emitter).
     # (Measured: per-bucket map_groups on millions of mostly-singleton
     # buckets costs tens of seconds in pure python dispatch.)
-    nparts = 2 * join_partitions(64)
     block_emitter = make_block_pair_emitter(
         cfg, verify=verify, hot=hot, cross_min_id=cross_min_id
     )
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = (
-            _smix(batch.column("band_key").to_numpy()) % np.uint64(nparts)
-        ).astype(np.int64)
-        return batch.append_column("part", pa.array(part))
-
-    parted = band.map_batches(add_part, batch_format="pyarrow")
-    pairs = parted.groupby("part").map_groups(
-        block_emitter, batch_format="pyarrow"
-    )
+    pairs = grouped_blocks(band, "band_key", block_emitter)
     if hot:
         # delegate round: min-id per salted sub-bucket regroups under the
         # hot key (tiny after the lower-bound hot selection)
@@ -384,71 +365,25 @@ def _banded(
             .groupby("band_key")
             .map_groups(delegate_reducer, batch_format="pyarrow")
         )
-        d_parted = delegates.map_batches(add_part, batch_format="pyarrow")
-        d_pairs = d_parted.groupby("part").map_groups(
-            block_emitter, batch_format="pyarrow"
-        )
-        pairs = pairs.union(d_pairs)
+        pairs = pairs.union(grouped_blocks(delegates, "band_key", block_emitter))
     return pairs
 
 
 def candidate_pairs_lsh(
-    sigs: "ray.data.Dataset", cfg: SigConfig, hot: dict[int, int] | None = None
+    sigs: "ray.data.Dataset",
+    cfg: SigConfig,
+    hot: dict[int, int] | None = None,
+    cross_min_id: int | None = None,
 ) -> "ray.data.Dataset":
     """LSH band shuffle → UNIQUE unverified candidate pairs (src, dst)."""
-    pairs = _banded(sigs, cfg, hot, carry_kmv=False, verify=False)
+    pairs = _banded(
+        sigs, cfg, hot, carry_kmv=False, verify=False, cross_min_id=cross_min_id
+    )
     # pairs are globally unique thanks to the owner-band rule, with two
     # rare, harmless duplicate sources: delegate-bucket pairs, and capped
     # buckets' star edges (which bypass the rule — their election target
     # may itself have capped and dropped the pair)
     return pairs.select_columns(["src", "dst"])
-
-
-def verify_pairs(
-    pairs: "ray.data.Dataset",
-    sigs: "ray.data.Dataset",
-    cfg: SigConfig,
-    num_partitions: int | None = None,
-) -> "ray.data.Dataset":
-    """Join each unique candidate pair with both KMV sketches and verify
-    once (theta Jaccard, JaccardSimilarity.java:55-96 semantics)."""
-    # two JoinOperators share this plan → joins=2 keeps TOTAL aggregators
-    # ≤ CPUs on small sessions without halving wide-session parallelism
-    num_partitions = num_partitions or join_partitions(joins=2)
-    kmv_tbl = sigs.select_columns(["id", "kmv_theta", "kmv"])
-    j1 = pairs.join(
-        kmv_tbl, "inner", num_partitions=num_partitions, on=("src",), right_on=("id",)
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "src": b.column("src"),
-                "dst": b.column("dst"),
-                "theta_a": b.column("kmv_theta"),
-                "kmv_a": b.column("kmv"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    j2 = j1.join(
-        kmv_tbl, "inner", num_partitions=num_partitions, on=("dst",), right_on=("id",)
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "src": b.column("src"),
-                "dst": b.column("dst"),
-                "theta_a": b.column("theta_a"),
-                "kmv_a": b.column("kmv_a"),
-                "theta_b": b.column("kmv_theta"),
-                "kmv_b": b.column("kmv"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    from .stages import PairVerifyStage
-
-    return j2.map_batches(
-        PairVerifyStage(cfg), batch_format="pyarrow"
-    ).select_columns(["src", "dst", "jaccard"])
 
 
 class _BroadcastVerify:
@@ -489,87 +424,6 @@ class _BroadcastVerify:
         )
 
 
-def _near_edges_broadcast(
-    sigs: "ray.data.Dataset", cfg: SigConfig, hot: dict[int, int] | None
-) -> "ray.data.Dataset":
-    """Minimal-shuffle near tier: ids-only band rows (~26 B/row), pair
-    dedup on the driver (candidate pairs are small relative to the corpus),
-    candidate sketches broadcast once, verification distributed.
-
-    Right when candidate volume << corpus (typical dup rates); for extreme
-    candidate volumes use mode='bucket' or 'join'."""
-    raw = _banded(
-        sigs, cfg, hot, carry_kmv=False, verify=False, carry_bandhashes=False
-    ).select_columns(["src", "dst"]).materialize()
-    tables = [t for t in ray.get(raw.to_arrow_refs()) if t.num_rows]
-    pair_tbl = (
-        pa.concat_tables(tables)
-        if tables
-        else pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
-    )
-    if pair_tbl.num_rows == 0:
-        return ray.data.from_arrow(
-            pa.table({"src": pa.array([], pa.int64()),
-                      "dst": pa.array([], pa.int64()),
-                      "jaccard": pa.array([], pa.float64())})
-        )
-    both = np.stack(
-        [pair_tbl.column("src").to_numpy(), pair_tbl.column("dst").to_numpy()], axis=1
-    )
-    uniq = np.unique(both, axis=0)
-    cand_ids = np.unique(uniq.reshape(-1))
-    from .io import put_broadcast
-
-    ids_ref = put_broadcast(cand_ids)
-
-    class FilterSketches:
-        def __init__(self, ids_ref):
-            from .io import broadcast_value
-
-            self.cand = broadcast_value(ids_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("id").to_numpy()
-            pos = np.searchsorted(self.cand, ids)
-            pos = np.clip(pos, 0, len(self.cand) - 1)
-            keep = self.cand[pos] == ids
-            return batch.filter(pa.array(keep))
-
-    cand_sigs = (
-        sigs.select_columns(["id", "kmv_theta", "kmv"])
-        .map_batches(FilterSketches, fn_constructor_args=(ids_ref,),
-                     batch_format="pyarrow", concurrency=actor_pool())
-        .to_arrow_refs()
-    )
-    tables = [ray.get(r) for r in cand_sigs]
-    cat = pa.concat_tables([t for t in tables if t.num_rows])
-    order = np.argsort(cat.column("id").to_numpy())
-    sk_ids = cat.column("id").to_numpy()[order]
-    sk_thetas = cat.column("kmv_theta").to_numpy()[order]
-    blobs = cat.column("kmv").to_pylist()
-    blobs = [blobs[i] for i in order]
-    wb = cfg.kmv_hash_bytes
-    lens = np.array([len(b) // wb for b in blobs], dtype=np.int64)
-    off = np.concatenate([[0], np.cumsum(lens)])
-    dt = "<u4" if wb == 4 else "<u8"
-    flat = np.frombuffer(b"".join(blobs), dtype=dt)
-    flat = flat.astype(np.uint32 if wb == 4 else np.uint64)
-    from .io import put_broadcast
-
-    sketches_ref = put_broadcast((sk_ids, sk_thetas, off, flat))
-
-    pairs_ds = ray.data.from_arrow(
-        pa.table({"src": pa.array(uniq[:, 0]), "dst": pa.array(uniq[:, 1])})
-    )
-    return pairs_ds.map_batches(
-        _BroadcastVerify,
-        fn_constructor_args=(sketches_ref, cfg),
-        batch_format="pyarrow",
-        concurrency=actor_pool(),
-        batch_size=8192,
-    )
-
-
 def _sketch_broadcast_ref(sigs: "ray.data.Dataset", cfg: SigConfig):
     """ray.put a flat (ids, thetas, offsets, cells) view of EVERY row's KMV
     sketch — read zero-copy from the local object store by verify tasks."""
@@ -596,6 +450,7 @@ def _sketch_broadcast_ref(sigs: "ray.data.Dataset", cfg: SigConfig):
 
 
 AUTO_HYBRID_FLOOR = 256 << 20  # sketch-table bytes below which bucket wins
+NEAR_MODES = ("auto", "bucket", "hybrid", "bucket_waves")
 
 
 def _near_budget(budget: int | None = None) -> int:
@@ -674,7 +529,6 @@ def near_edges(
     sigs: "ray.data.Dataset",
     cfg: SigConfig,
     hot: dict[int, int] | None = None,
-    num_partitions: int | None = None,
     mode: str = "bucket",
     cross_min_id: int | None = None,
     auto_broadcast_budget: int | None = None,
@@ -701,12 +555,7 @@ def near_edges(
         table (one object-store copy, zero-copy reads). Cuts the all-to-all
         bytes ~4.5×; right while the sketch table fits a node's plasma
         (k·hash_bytes ≈ 0.5 KB/doc → ~0.5 TB per 10^9 docs — beyond that
-        use 'join').
-      'broadcast': ids-only band shuffle + driver pair dedup + broadcast-
-        sketch distributed verify — minimal object-store bytes; right when
-        candidates << corpus but pays driver-side latency.
-      'join': ids-only shuffle + hash-join verify — decouples shuffle bytes
-        from sketch size at extreme scale.
+        use 'bucket_waves').
       'bucket_waves': bucket layout executed as ``num_waves`` sequential
         waves over hash ranges of the ORIGINAL band key — each wave's
         sketch-carrying all-to-all fits the object store (no spill), at
@@ -718,7 +567,14 @@ def near_edges(
         'bucket': every band row lands in exactly one wave, the owner-band
         rule assigns each pair to exactly one band bucket globally, and a
         hot key's salted sub-buckets + delegate round share the wave of
-        their orig_key."""
+        their orig_key.
+
+    Any other ``mode`` raises ValueError."""
+    if mode not in NEAR_MODES:
+        raise ValueError(
+            f"unknown near_edges mode {mode!r}; expected one of "
+            f"{'/'.join(NEAR_MODES)}"
+        )
     if mode in ("auto", "bucket_waves"):
         # materialize BEFORE counting: the count consumes the pipeline and
         # every mode re-reads sigs (waves W times!), so an unmaterialized
@@ -742,27 +598,20 @@ def near_edges(
             return _near_edges_bucket_waves(
                 sigs, cfg, hot, num_waves, cross_min_id=cross_min_id
             )
-    if mode == "broadcast":
-        return _near_edges_broadcast(sigs, cfg, hot)
     if mode == "bucket":
         edges = _banded(
             sigs, cfg, hot, carry_kmv=True, verify=True, cross_min_id=cross_min_id
         )
         return edges.select_columns(["src", "dst", "jaccard"])
-    if mode == "hybrid":
-        pairs = _banded(
-            sigs, cfg, hot, carry_kmv=False, verify=False, carry_bandhashes=True
-        ).select_columns(["src", "dst"])
-        sketches_ref = _sketch_broadcast_ref(sigs, cfg)
-        return pairs.map_batches(
-            _BroadcastVerify,
-            fn_constructor_args=(sketches_ref, cfg),
-            batch_format="pyarrow",
-            concurrency=actor_pool(),
-            batch_size=16384,
-        )
-    pairs = candidate_pairs_lsh(sigs, cfg, hot)
-    return verify_pairs(pairs, sigs, cfg, num_partitions)
+    pairs = candidate_pairs_lsh(sigs, cfg, hot, cross_min_id=cross_min_id)
+    sketches_ref = _sketch_broadcast_ref(sigs, cfg)
+    return pairs.map_batches(
+        _BroadcastVerify,
+        fn_constructor_args=(sketches_ref, cfg),
+        batch_format="pyarrow",
+        concurrency=actor_pool(),
+        batch_size=16384,
+    )
 
 
 def _near_edges_bucket_waves(
@@ -938,10 +787,6 @@ def substring_edges(
 # ---------------------------------------------------------------------------
 
 
-def _dedup_pairs(group: pa.Table) -> pa.Table:
-    return group.slice(0, 1)
-
-
 def dedup_clusters(
     corpus: "ray.data.Dataset",
     cfg: SigConfig = DEFAULT_CONFIG,
@@ -953,12 +798,15 @@ def dedup_clusters(
 ) -> "ray.data.Dataset":
     """corpus → (id, cluster_id) assignment for every input row.
 
-    near_mode defaults to 'auto' (hybrid while the sketch table fits the
-    broadcast budget, else bucket): the 2.5M-row knee profile showed the
-    bucket layout's sketch-carrying all-to-all overflowing the object
-    store (~40 GB spilled at ~150 MiB/s disk write — the knee), while the
-    hybrid layout spilled ZERO bytes and ran 2.5× faster at identical
-    output (BASELINE.md round-4 knee section)."""
+    near_mode defaults to 'auto' (see near_edges): bucket while the sketch
+    table is below the 256 MiB floor, hybrid while it sits between the
+    floor and the broadcast budget, bucket_waves above the budget. The
+    2.5M-row knee profile showed the monolithic bucket layout's
+    sketch-carrying all-to-all overflowing the object store (~40 GB
+    spilled at ~150 MiB/s disk write — the knee), while the hybrid layout
+    spilled ZERO bytes and ran 2.5× faster at identical output
+    (BASELINE.md round-4 knee section); waves bound the same shuffle once
+    the sketch table outgrows one broadcast copy."""
     sigs = corpus.map_batches(
         SignatureStage(cfg), batch_format="pyarrow"
     ).materialize()  # signature checkpoint: every tier reads this
@@ -975,7 +823,7 @@ def dedup_clusters(
     # cross-tier duplicates
     #
     # executing all three tiers as ONE lazy union is safe here (unlike
-    # containment_pairs/verify_pairs): these tiers shuffle via sort-based
+    # containment_pairs): these tiers shuffle via sort-based
     # groupby/grouped_blocks — task pools, no long-lived aggregator ACTORS
     # — so no actor-reservation livelock; only JoinOperator plans need the
     # joins= aggregator budgeting

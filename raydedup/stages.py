@@ -15,10 +15,9 @@ Design notes for 100 TB scale:
     ``content`` on output — everything downstream ships ≤ ~2 KB/row.
   * Near-tier shuffle layout is switchable (see BandEmitStage): in-bucket
     verification with the KMV sketch carried in the band rows (one
-    all-to-all; measured fastest here), or ids-only band rows with a
-    dedup-then-hash-join verify (decouples shuffle volume from sketch
-    size for very large kmv_k·bands). Both verify with the same theta
-    Jaccard semantics.
+    all-to-all; measured fastest here), or sketch-free band rows whose
+    unique pairs verify against a broadcast sketch table. Both verify
+    with the same theta Jaccard semantics.
   * Hot band keys (boilerplate) are detected by a Misra-Gries heavy-hitter
     pre-pass (frequencies/LongsSketch.java:55-94 analog) and split into salt
     sub-buckets with a delegate round so connectivity survives
@@ -200,18 +199,15 @@ def _matrix_binary(m: np.ndarray) -> pa.Array:
 
 
 class BandEmitStage:
-    """sigs → (band_key, orig_key, salted, id[, kmv_theta, kmv]) rows.
+    """sigs → (band_key, orig_key, salted, band_idx, id, bandhashes[,
+    kmv_theta, kmv]) rows.
 
     Two shuffle layouts (pipeline.near_edges mode):
-      * carry_kmv=True (default, "bucket" mode): rows carry the KMV sketch
-        (~kmv_k·8 B) so pairs verify inside the band groupby — one all-to-all
-        total. Wins when sketches are small or bands few (measured best
-        locally: the sketch payload shuffle is cheaper than a second shuffle
-        + hash-join constant costs).
-      * carry_kmv=False ("join" mode): rows are 3×u64 + bool; unique pairs
-        are verified once via a hash join against the sigs checkpoint
-        (pipeline.verify_pairs). Wins when kmv_k·bands is large relative to
-        the dup rate (it decouples shuffle volume from sketch size).
+      * carry_kmv=True ("bucket" / "bucket_waves" modes): rows carry the KMV
+        sketch (~kmv_k·8 B) so pairs verify inside the band groupby — one
+        all-to-all total.
+      * carry_kmv=False ("hybrid" mode): rows carry no sketch; the unique
+        pairs verify against a broadcast of the whole sketch table.
     ``hot_keys``: dict band_key → n_salts from the heavy-hitter pre-pass;
     hot keys split by hash(id) into sub-buckets, reconnected by delegates.
 
@@ -234,20 +230,18 @@ class BandEmitStage:
         cfg: SigConfig,
         hot_keys: dict[int, int] | None = None,
         carry_kmv: bool = True,
-        carry_bandhashes: bool = True,
         wave: tuple[int, int] | None = None,
     ):
         self.cfg = cfg
         self.hot = hot_keys or {}
         self.carry_kmv = carry_kmv
-        self.carry_bandhashes = carry_bandhashes
         self.wave = wave
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
         n = len(batch)
         if n == 0:
-            return _empty_band_table(self.carry_kmv, self.carry_bandhashes)
+            return _empty_band_table(self.carry_kmv)
         mh_flat, _ = _binary_col_flat_u64(batch.column("minhash"))
         mh = mh_flat.reshape(n, cfg.num_perm)  # fixed-width cells, zero-copy
         ids = batch.column("id").to_numpy()
@@ -277,20 +271,17 @@ class BandEmitStage:
             band_idx = band_idx[in_wave]
             src_rows = src_rows[in_wave]
         flat_keys, salted = self._salt(orig_keys, rep_ids)
-        # when carry_bandhashes: every row carries the doc's band-hash
-        # vector (bands×8 B) so the pair stage can assign each pair to its
-        # FIRST co-bucketed band — exactly one bucket emits any given pair
-        # (no dedup shuffle needed). Omitted in broadcast mode, where the
-        # (small) pair set dedups on the driver instead.
+        # every row carries the doc's band-hash vector (bands×8 B) so the
+        # pair stage can assign each pair to its FIRST co-bucketed band —
+        # exactly one bucket emits any given pair (no dedup shuffle needed)
         cols = {
             "band_key": pa.array(flat_keys, type=pa.uint64()),
             "orig_key": pa.array(orig_keys, type=pa.uint64()),
             "salted": pa.array(salted, type=pa.bool_()),
             "band_idx": pa.array(band_idx, type=pa.uint8()),
             "id": pa.array(rep_ids, type=pa.int64()),
+            "bandhashes": _matrix_binary(bh[src_rows]),
         }
-        if self.carry_bandhashes:
-            cols["bandhashes"] = _matrix_binary(bh[src_rows])
         if self.carry_kmv:
             take = pa.array(src_rows)
             cols["kmv_theta"] = kmv_theta.take(take)
@@ -319,7 +310,7 @@ class BandEmitStage:
         return out, is_hot
 
 
-def _empty_band_table(carry_kmv: bool = False, carry_bandhashes: bool = True) -> pa.Table:
+def _empty_band_table(carry_kmv: bool = False) -> pa.Table:
     """Empty block with EXACTLY the columns non-empty blocks emit for the
     active mode — a schema mismatch here breaks downstream groupby/union
     schema unification on corpora containing an empty shard."""
@@ -329,9 +320,8 @@ def _empty_band_table(carry_kmv: bool = False, carry_bandhashes: bool = True) ->
         "salted": pa.array([], type=pa.bool_()),
         "band_idx": pa.array([], type=pa.uint8()),
         "id": pa.array([], type=pa.int64()),
+        "bandhashes": pa.array([], type=pa.large_binary()),
     }
-    if carry_bandhashes:
-        cols["bandhashes"] = pa.array([], type=pa.large_binary())
     if carry_kmv:
         cols["kmv_theta"] = pa.array([], type=pa.uint64())
         cols["kmv"] = pa.array([], type=pa.large_binary())
@@ -353,9 +343,8 @@ def delegate_reducer(group: pa.Table) -> pa.Table:
         # (their raison d'être is cross-salt pairs the rule would drop)
         "band_idx": pa.array(np.array([255], dtype=np.uint8)),
         "id": group.column("id").slice(i, 1),
+        "bandhashes": group.column("bandhashes").slice(i, 1),
     }
-    if "bandhashes" in group.column_names:
-        cols["bandhashes"] = group.column("bandhashes").slice(i, 1)
     for extra in ("kmv_theta", "kmv"):
         if extra in group.column_names:
             cols[extra] = group.column(extra).slice(i, 1)
@@ -417,12 +406,9 @@ def make_block_pair_emitter(
         keys = keys[order]
         ids_all = ids_all[order]
         band_idx_all = batch.column("band_idx").to_numpy()[order]
-        have_bh = "bandhashes" in batch.column_names
-        if have_bh:
-            bh_flat, bh_off = _binary_col_flat_u64(batch.column("bandhashes"))
-            bands = cfg.bands
-            # offset-safe gather (cells are uniform bands-word sequences)
-            bh_mat = bh_flat[bh_off[:-1, None] + np.arange(bands)][order]
+        bh_flat, bh_off = _binary_col_flat_u64(batch.column("bandhashes"))
+        # offset-safe gather (cells are uniform bands-word sequences)
+        bh_mat = bh_flat[bh_off[:-1, None] + np.arange(cfg.bands)][order]
         if verify:
             kmv_flat, kmv_off = _binary_col_flat_u64(
                 batch.column("kmv"), cfg.kmv_hash_bytes
@@ -464,7 +450,7 @@ def make_block_pair_emitter(
                 ib = np.arange(1, m)
                 capped = True
             my_band = int(band_idx_all[s])
-            if my_band != 255 and have_bh and not capped:
+            if my_band != 255 and not capped:
                 # owner-band pair uniqueness: exactly one (small) bucket
                 # emits any given pair. Capped buckets skip the rule — the
                 # election can point at a bucket that capped and never
@@ -557,44 +543,6 @@ def _empty_pair_table(verify: bool = False) -> pa.Table:
     return pa.table(cols)
 
 
-class PairVerifyStage:
-    """Batched KMV-Jaccard verification of joined candidate pairs.
-
-    Input columns: src, dst, theta_a, kmv_a, theta_b, kmv_b. Output: pairs
-    with jaccard >= cfg.jaccard_threshold. Point estimate per
-    JaccardSimilarity.java:55-96 (exact when both sketches exact-mode)."""
-
-    def __init__(self, cfg: SigConfig):
-        self.cfg = cfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cfg = self.cfg
-        n = len(batch)
-        if n == 0:
-            return _empty_edge_table()
-        src = batch.column("src").to_numpy()
-        dst = batch.column("dst").to_numpy()
-        ta = batch.column("theta_a").to_numpy()
-        tb = batch.column("theta_b").to_numpy()
-        if cfg.kmv_hash_bytes == 4:
-            ta = (ta >> U64(32)).astype(np.uint32)
-            tb = (tb >> U64(32)).astype(np.uint32)
-        fa, oa = _binary_col_flat_u64(batch.column("kmv_a"), cfg.kmv_hash_bytes)
-        fb, ob = _binary_col_flat_u64(batch.column("kmv_b"), cfg.kmv_hash_bytes)
-        out = kmv_jaccard_many(
-            fa, oa[:-1], oa[1:], ta, fb, ob[:-1], ob[1:], tb, cfg.kmv_k
-        )
-        keep = out >= cfg.verify_threshold
-        return pa.table(
-            {
-                "src": pa.array(src[keep]),
-                "dst": pa.array(dst[keep]),
-                "jaccard": pa.array(out[keep]),
-                "capped": pa.array(np.zeros(int(keep.sum()), dtype=bool)),
-            }
-        )
-
-
 def _kmv_jaccard_fast(
     theta_a: np.uint64, ha: np.ndarray, theta_b: np.uint64, hb: np.ndarray, k: int
 ) -> float:
@@ -673,14 +621,3 @@ def kmv_jaccard_many(
     return np.where(
         merged_cnt > 0, inter_cnt / np.maximum(merged_cnt, 1), 0.0
     ).astype(np.float64)
-
-
-def _empty_edge_table() -> pa.Table:
-    return pa.table(
-        {
-            "src": pa.array([], type=pa.int64()),
-            "dst": pa.array([], type=pa.int64()),
-            "jaccard": pa.array([], type=pa.float64()),
-            "capped": pa.array([], type=pa.bool_()),
-        }
-    )

@@ -131,7 +131,7 @@ def test_cross_min_id_filters_base_pairs_pre_verify():
         }
     )
     sigs = SignatureStage(cfg)(corpus)
-    band = BandEmitStage(cfg, None, carry_kmv=True, carry_bandhashes=True)(sigs)
+    band = BandEmitStage(cfg, None, carry_kmv=True)(sigs)
     band = band.append_column("part", pa.array(np.zeros(len(band), np.int64)))
 
     unfiltered = make_block_pair_emitter(cfg, verify=True)(band)

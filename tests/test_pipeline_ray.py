@@ -370,8 +370,9 @@ def test_sampled_hot_key_detection(ray_session):
 
 
 def test_near_modes_agree(ray_session):
-    """bucket / hybrid / broadcast / join near-tier modes produce the same
-    verified edge set (same verification semantics, different layouts)."""
+    """bucket / hybrid / auto / bucket_waves near-tier modes produce the
+    same verified edge set (same verification semantics, different
+    layouts)."""
     import ray.data
 
     from raydedup.corpus import corpus_parquet_path
@@ -380,7 +381,7 @@ def test_near_modes_agree(ray_session):
     ds = ray.data.read_parquet(corpus_parquet_path("/root/testdata/sf0.001"))
     sigs = signatures(ds, CFG).materialize()
     sets = {}
-    for mode in ("bucket", "hybrid", "broadcast", "join", "auto"):
+    for mode in ("bucket", "hybrid", "auto"):
         out = near_edges(sigs, CFG, mode=mode).to_pandas()
         sets[mode] = set(zip(out["src"], out["dst"]))
     # wave-sharded bucket: identical edges regardless of wave count
@@ -388,8 +389,7 @@ def test_near_modes_agree(ray_session):
         out = near_edges(sigs, CFG, mode="bucket_waves", num_waves=w).to_pandas()
         sets[f"bucket_waves_{w}"] = set(zip(out["src"], out["dst"]))
     assert (
-        sets["bucket"] == sets["hybrid"] == sets["broadcast"]
-        == sets["join"] == sets["auto"]
+        sets["bucket"] == sets["hybrid"] == sets["auto"]
         == sets["bucket_waves_2"] == sets["bucket_waves_5"]
     )
     assert len(sets["bucket"]) > 50
@@ -564,7 +564,8 @@ def test_bucket_waves_agree_with_hot_keys(ray_session):
 
 def test_bucket_waves_cross_min_id_agrees_with_bucket(ray_session):
     """The incremental tier's base×base pre-filter (cross_min_id) is
-    wave-layout-invariant: waves emit exactly bucket's cross/delta edges."""
+    layout-invariant: waves and hybrid emit exactly bucket's cross/delta
+    edges."""
     import ray.data
 
     from raydedup.corpus import corpus_parquet_path
@@ -582,6 +583,93 @@ def test_bucket_waves_cross_min_id_agrees_with_bucket(ray_session):
             sigs, CFG, mode="bucket_waves", num_waves=w, cross_min_id=boundary
         ).to_pandas()
         assert set(zip(out["src"], out["dst"])) == ref_set
+    out = near_edges(sigs, CFG, mode="hybrid", cross_min_id=boundary).to_pandas()
+    assert set(zip(out["src"], out["dst"])) == ref_set
+
+
+def test_near_edges_rejects_unknown_modes(ray_session):
+    """Only auto/bucket/hybrid/bucket_waves exist: retired layouts and
+    typos raise instead of silently running some other layout."""
+    import ray.data
+
+    from raydedup.pipeline import near_edges
+
+    sigs = ray.data.from_items([{"id": 0}])
+    for mode in ("join", "broadcast", "bucket-waves"):
+        with pytest.raises(ValueError, match="auto/bucket/hybrid/bucket_waves"):
+            near_edges(sigs, CFG, mode=mode)
+
+
+def test_band_shuffle_partitions_and_edges_are_frozen(ray_session):
+    """The band shuffle runs on grouped_blocks: buckets land in the same
+    hash partitions as the hand-rolled ``splitmix64(band_key) % nparts``
+    it replaced, the salted fixture's bucket-mode edge multiset matches
+    the digest recorded before the move, and delegate-bucket edges (the
+    only link between a hot key's salt sub-buckets) are still emitted."""
+    import hashlib
+
+    import ray.data
+
+    from raydedup.hashing import splitmix64
+    from raydedup.pipeline import grouped_blocks, join_partitions, near_edges
+    from raydedup.stages import BandEmitStage, SignatureStage
+
+    shared = "the quick brown fox jumps over the lazy dog " * 6
+    rng = np.random.default_rng(5)
+    rows = [
+        shared if i < 300
+        else " ".join(f"tok{rng.integers(0, 50000)}" for _ in range(40))
+        for i in range(1200)
+    ]
+    tbl = pa.table(
+        {"id": pa.array(np.arange(1200, dtype=np.int64)), "content": pa.array(rows)}
+    )
+    sig_tbl = SignatureStage(CFG)(tbl)
+    band = BandEmitStage(CFG, None)(sig_tbl)
+    # exact (not sketched) hot keys with a fixed salt count, so the frozen
+    # digest does not hinge on heavy-hitter merge order
+    keys, counts = np.unique(band.column("band_key").to_numpy(), return_counts=True)
+    n_salt = 10
+    hot = {int(k): n_salt for k in keys[counts > CFG.max_bucket_size]}
+    assert len(hot) == CFG.bands  # the 300 copies collide in every band
+
+    # partition ids: one grouped_blocks group per old-formula partition
+    nparts = 2 * join_partitions(64)
+    old_part = {
+        int(k): int(p)
+        for k, p in zip(keys, splitmix64(keys) % np.uint64(nparts))
+    }
+
+    def tag(block: pa.Table) -> pa.Table:
+        k = block.column("band_key").to_numpy()
+        return pa.table({"band_key": k, "group": np.full(len(k), k.min())})
+
+    got = grouped_blocks(
+        ray.data.from_arrow(band), "band_key", tag, nparts=nparts
+    ).to_pandas()
+    groups = got.groupby("group")["band_key"].apply(lambda c: {int(x) for x in c})
+    want: dict[int, set[int]] = {}
+    for k, p in old_part.items():
+        want.setdefault(p, set()).add(k)
+    assert sorted(map(sorted, groups)) == sorted(map(sorted, want.values()))
+
+    sigs = ray.data.from_arrow(sig_tbl).materialize()
+    e = near_edges(sigs, CFG, hot, mode="bucket").to_pandas()
+    pairs = sorted(set(zip(e["src"].tolist(), e["dst"].tolist())))
+    digest = hashlib.sha256(np.array(pairs, dtype=np.int64).tobytes()).hexdigest()
+    assert (len(e), len(pairs)) == (5222, 4547)
+    assert digest == (
+        "7b032d0e8bf60b31deb15963ccf251bca31455ff0f21360638d3eb221a68fba2"
+    )
+
+    # delegates: the min id of each salt sub-bucket pairs with every other
+    # sub-bucket's min id — pairs no ordinary bucket holds, since a doc's
+    # salt slot is the same in every band
+    salt = splitmix64(np.arange(300, dtype=np.uint64)) % np.uint64(n_salt)
+    mins = sorted(int(np.flatnonzero(salt == s).min()) for s in np.unique(salt))
+    assert len(mins) == n_salt
+    delegate_pairs = {(a, b) for i, a in enumerate(mins) for b in mins[i + 1:]}
+    assert delegate_pairs <= set(pairs)
 
 
 def test_verify_margin_widens_the_edge_set_consistently(ray_session):
