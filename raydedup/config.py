@@ -11,7 +11,7 @@ pipeline raises, exactly as UnionImpl.java:308 does on seed-hash mismatch.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .hashing import xxh64_bytes
 
@@ -77,8 +77,14 @@ class SigConfig:
 
     @property
     def fingerprint(self) -> int:
-        """64-bit config fingerprint (engine analog of the theta seedHash)."""
-        payload = json.dumps(asdict(self), sort_keys=True).encode()
+        """64-bit config fingerprint (engine analog of the theta seedHash).
+
+        ``verify_margin`` is left out: it moves only the verify-time cut,
+        never a persisted signature, so tuning it keeps signature
+        checkpoints and dedup indexes valid."""
+        fields = asdict(self)
+        del fields["verify_margin"]
+        payload = json.dumps(fields, sort_keys=True).encode()
         return xxh64_bytes(payload, seed=0)
 
     def check_compatible(self, other_fingerprint: int) -> None:

@@ -31,6 +31,7 @@ import ray
 import ray.data
 from .io import put_broadcast
 from .io import read_parquet as _read_parquet
+from .stages import bucket_pairs
 
 # Embeddings are quantized to integers (floor(v * 2^20)) before cosine
 # computation. Integer dot products and norms are exactly representable in
@@ -578,7 +579,7 @@ class HyperplaneBucketStage:
             for b in range(bits.shape[1]):
                 key |= bits[:, b].astype(np.uint64) << np.uint64(b)
             # mix table idx in so tables never cross-collide
-            keys[:, t] = key ^ (np.uint64(t) * np.uint64(0x9E3779B97F4A7C15))
+            keys[:, t] = key ^ np.uint64((t * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
         blob = keys.astype("<u8").tobytes()
         width = 8 * self.n_tables
         all_keys = pa.Array.from_buffers(
@@ -597,9 +598,11 @@ class HyperplaneBucketStage:
 def make_embedding_block_verifier(
     threshold: float, n_tables: int, max_bucket: int = 4096
 ):
-    """Block processor for hash-partitioned bucket rows: verifies every
-    bucket in the partition in one python call. Pairs are globally unique
-    (owner-table rule); over-size buckets degrade to a representative star."""
+    """Block processor for hash-partitioned bucket rows: the candidate pairs
+    of every bucket in the partition come from one :func:`bucket_pairs`
+    call and verify in one batched quantized cosine. Pairs are globally
+    unique (owner-table rule); over-size buckets degrade to a
+    representative star."""
 
     def _empty() -> pa.Table:
         return pa.table(
@@ -616,82 +619,46 @@ def make_embedding_block_verifier(
         if n == 0:
             return _empty()
         buckets = block.column("bucket").to_numpy()
-        ids_all = block.column("vec_id").to_numpy()
-        order = np.lexsort((ids_all, buckets))
-        buckets, ids_all = buckets[order], ids_all[order]
-        tidx_all = block.column("table_idx").to_numpy()[order]
-        emb_all = _batch_matrix(block, "embedding")[order]
-        ak = block.column("all_keys")
-        if isinstance(ak, pa.ChunkedArray):
-            ak = ak.combine_chunks()
-        keys_all = np.frombuffer(
-            ak.buffers()[1], dtype="<u8", count=n * n_tables, offset=ak.offset * 8 * n_tables
-        ).reshape(n, n_tables)[order]
-
-        bnd = np.flatnonzero(np.concatenate([[True], buckets[1:] != buckets[:-1]]))
-        ends = np.concatenate([bnd[1:], [n]])
-        multi = (ends - bnd) >= 2
-        if not multi.any():
-            return _empty()
-
-        out_src, out_dst, out_cos, out_cap = [], [], [], []
-        for s, e in zip(bnd[multi], ends[multi]):
-            u = ids_all[s:e]
-            keep = np.concatenate([[True], u[1:] != u[:-1]])
-            rows = np.flatnonzero(keep) + s
-            u = u[keep]
-            m = len(u)
-            if m < 2:
-                continue
-            if m <= max_bucket:
-                ia, ib = np.triu_indices(m, k=1)
-                capped = False
-            else:
-                # representative star over the WHOLE bucket (O(m) edges):
-                # every member pairs with member 0, so no member is silently
-                # excluded from verification however large the bucket
-                ia = np.zeros(m - 1, dtype=np.int64)
-                ib = np.arange(1, m)
-                capped = True
-            ra, rb = rows[ia], rows[ib]
-            # rowwise cosine (same IEEE op sequence as quantized_cosine)
-            qa, qb = quantize(emb_all[ra]), quantize(emb_all[rb])
-            dots = (qa * qb).sum(axis=1)
-            na = np.sqrt((qa * qa).sum(axis=1))
-            nb = np.sqrt((qb * qb).sum(axis=1))
-            na[na == 0] = 1.0
-            nb[nb == 0] = 1.0
-            c = dots / (na * nb)
-            km = c >= threshold
-            if not km.any():
-                continue
-            ia, ib, ra, rb, c = ia[km], ib[km], ra[km], rb[km], c[km]
-            if n_tables > 1 and not capped:
-                # owner-table pair uniqueness — skipped for capped (star)
-                # buckets: the election can point at a table whose bucket
-                # also capped and never verified this pair, so suppressing
-                # here could drop it from every table (same fix as the
-                # LSH band tier; duplicates are deduped below)
-                my_t = int(tidx_all[s])
-                eq = keys_all[ra] == keys_all[rb]  # (pairs, n_tables)
-                owner = np.argmax(eq, axis=1)  # first co-bucketing table
-                om = owner == my_t
-                if not om.any():
-                    continue
-                ia, ib, c = ia[om], ib[om], c[om]
-            out_src.append(u[ia])
-            out_dst.append(u[ib])
-            out_cos.append(c)
-            out_cap.append(np.full(len(c), capped, dtype=bool))
-
-        if not out_src:
-            return _empty()
+        ids = block.column("vec_id").to_numpy()
+        order = np.lexsort((ids, buckets))
+        ids = ids[order]
+        ra, rb, cap, first = bucket_pairs(buckets[order], ids, max_bucket)
+        # quantize and take norms once per row: the per-pair cosine below
+        # is the same IEEE op sequence as quantized_cosine
+        q = quantize(_batch_matrix(block, "embedding")[order])
+        norm = np.sqrt((q * q).sum(axis=1))
+        norm[norm == 0] = 1.0
+        # dot products in slices of pairs: bounds the (pairs, dim) temporary
+        step = max(1, (1 << 22) // max(1, q.shape[1]))
+        dots = np.empty(len(ra))
+        for i in range(0, len(ra), step):
+            j = slice(i, i + step)
+            dots[j] = (q[ra[j]] * q[rb[j]]).sum(axis=1)
+        c = dots / (norm[ra] * norm[rb])
+        keep = c >= threshold
+        if n_tables > 1:
+            # owner-table pair uniqueness — skipped for capped (star)
+            # buckets: the election can point at a table whose bucket also
+            # capped and never verified this pair, so suppressing here
+            # could drop it from every table (same fix as the LSH band
+            # tier; duplicates are deduped by embedding_dup_pairs)
+            ak = block.column("all_keys")
+            if isinstance(ak, pa.ChunkedArray):
+                ak = ak.combine_chunks()
+            keys_all = np.frombuffer(
+                ak.buffers()[1], dtype="<u8", count=n * n_tables,
+                offset=ak.offset * 8 * n_tables,
+            ).reshape(n, n_tables)[order]
+            tidx = block.column("table_idx").to_numpy()[order]
+            xa, xb = ra[keep], rb[keep]
+            owner = np.argmax(keys_all[xa] == keys_all[xb], axis=1)
+            keep[keep] = cap[keep] | (owner == tidx[first[keep]])
         return pa.table(
             {
-                "src": pa.array(np.concatenate(out_src), type=pa.int64()),
-                "dst": pa.array(np.concatenate(out_dst), type=pa.int64()),
-                "cosine": pa.array(np.concatenate(out_cos)),
-                "capped": pa.array(np.concatenate(out_cap), type=pa.bool_()),
+                "src": pa.array(ids[ra[keep]], type=pa.int64()),
+                "dst": pa.array(ids[rb[keep]], type=pa.int64()),
+                "cosine": pa.array(c[keep], type=pa.float64()),
+                "capped": pa.array(cap[keep], type=pa.bool_()),
             }
         )
 

@@ -7,9 +7,11 @@ among themselves, (c) assigned to existing clusters — re-running the full
 O(corpus) pipeline per delta is wasteful. Here the base contributes only
 its persisted SIGNATURE INDEX (the `signatures()` output — ~1 KB/doc, no
 content) and its assignment table; the delta pays signature computation
-plus ONE band shuffle over base-index + delta rows, with every base×base
-candidate pair filtered out BEFORE sketch verification
-(stages.make_block_pair_emitter cross_min_id).
+plus ONE band shuffle over base-index + delta rows. No base×base pair is
+ever built, let alone verified (``cross_min_id`` of
+stages.bucket_pairs): a bucket without a delta member is dropped before
+its pairs are formed, and the base×base pairs of the other buckets are
+dropped before the sketch verification.
 
 Id contract: delta rows carry ids strictly greater than every base id
 (append-only id space — the natural layout for arriving data). The
@@ -266,51 +268,38 @@ def _finish_incremental(
 # unsalted flagship.
 
 
-def _part_u64(keys: np.ndarray, nparts: int) -> np.ndarray:
-    from .hashing import splitmix64
-
-    return (splitmix64(keys.astype(np.uint64)) % np.uint64(nparts)).astype(np.int64)
-
-
-def _part_sha(col: pa.Array, nparts: int) -> np.ndarray:
-    from .hashing import splitmix64, xxh64_flat
-    from .tokenize import _string_array_np
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    flat, off = _string_array_np(col)
-    return (splitmix64(xxh64_flat(flat, off, seed=17)) % np.uint64(nparts)).astype(
-        np.int64
-    )
-
-
-def _write_parts(rows: "ray.data.Dataset", out_dir: str, nparts: int) -> int:
-    """Hash-partitioned parquet writer: one file per non-empty part, written
+def _write_parts(
+    rows: "ray.data.Dataset", out_dir: str, nparts: int, key: str | None = None
+) -> int:
+    """Partitioned parquet writer: one file per non-empty part, written
     idempotently (tmp + atomic rename; existing parts are kept — a re-run
-    resumes where it stopped). Returns rows written (existing parts count
-    as written)."""
+    resumes where it stopped). The rows carry an int ``part`` column, or
+    ``key`` names the column whose hash (pipeline.key_parts) picks the
+    part. Returns rows written (existing parts count as written)."""
     import os
 
     import pyarrow.parquet as pq
 
+    from .pipeline import key_parts, part_groups
+
     os.makedirs(out_dir, exist_ok=True)
 
-    def write_block(block: pa.Table) -> pa.Table:
-        p = int(block.column("part")[0].as_py())
-        body = block.select([c for c in block.column_names if c != "part"])
+    def write_part(body: pa.Table, p: int) -> pa.Table:
+        n = body.num_rows
         path = os.path.join(out_dir, f"part-{p:05d}.parquet")
-        if not os.path.exists(path):
+        if n and not os.path.exists(path):
             tmp = f"{path}.tmp{os.getpid()}"
             pq.write_table(body, tmp)
             os.replace(tmp, path)
         return pa.table(
             {
-                "part": pa.array([p], pa.int64()),
-                "rows": pa.array([len(body)], pa.int64()),
+                "part": pa.array([p] if n else [], pa.int64()),
+                "rows": pa.array([n] if n else [], pa.int64()),
             }
         )
 
-    manifest = rows.groupby("part").map_groups(write_block, batch_format="pyarrow")
+    part_of = None if key is None else (lambda b: key_parts(b.column(key), nparts))
+    manifest = part_groups(rows, write_part, nparts, part_of)
     return int(sum(b["rows"].to_numpy().sum() for b in
                    manifest.iter_batches(batch_format="pyarrow")))
 
@@ -365,39 +354,20 @@ def write_dedup_index(
         batch_format="pyarrow",
     )
 
-    def band_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(_part_u64(batch.column("band_key").to_numpy(), nparts))
-        )
-
-    def sha_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(_part_sha(batch.column("sha256"), nparts))
-        )
-
-    def fp_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(_part_u64(batch.column("fp").to_numpy(), nparts))
-        )
-
-    n_band = _write_parts(
-        band.map_batches(band_part, batch_format="pyarrow"),
-        os.path.join(path, "bands"),
-        nparts,
-    )
+    n_band = _write_parts(band, os.path.join(path, "bands"), nparts, "band_key")
     n_sha = _write_parts(
-        base_sigs.select_columns(["sha256", "id"]).map_batches(
-            sha_part, batch_format="pyarrow"
-        ),
+        base_sigs.select_columns(["sha256", "id"]),
         os.path.join(path, "sha"),
         nparts,
+        "sha256",
     )
     n_fp = _write_parts(
-        base_sigs.select_columns(["id", "winnow"])
-        .map_batches(_explode_winnow, batch_format="pyarrow")
-        .map_batches(fp_part, batch_format="pyarrow"),
+        base_sigs.select_columns(["id", "winnow"]).map_batches(
+            _explode_winnow, batch_format="pyarrow"
+        ),
         os.path.join(path, "fp"),
         nparts,
+        "fp",
     )
     meta = {
         "nparts": nparts,
@@ -411,24 +381,29 @@ def write_dedup_index(
     return meta
 
 
-def _part_merge_emitter(index_dir: str, emitter):
-    """Wrap a vectorized block emitter so each part's task first streams its
-    BASE partition from the index (sequential parquet read, no shuffle) and
-    concatenates it with the shuffled delta rows of the same part."""
+def _index_join(
+    rows: "ray.data.Dataset", key: str, index_dir: str, nparts: int, emitter
+) -> "ray.data.Dataset":
+    """Shuffle the delta ``rows`` into the index's parts by ``key``; each
+    part's task streams its BASE partition from the index (sequential
+    parquet read, no shuffle), concatenates it with the delta rows of the
+    same part and runs the vectorized block ``emitter`` on both."""
     import os
 
     import pyarrow.parquet as pq
 
-    def run(block: pa.Table) -> pa.Table:
-        p = int(block.column("part")[0].as_py())
-        body = block.select([c for c in block.column_names if c != "part"])
+    from .pipeline import key_parts, part_groups
+
+    def run(body: pa.Table, p: int) -> pa.Table:
         base_path = os.path.join(index_dir, f"part-{p:05d}.parquet")
-        if os.path.exists(base_path):
+        if body.num_rows and os.path.exists(base_path):
             base = pq.read_table(base_path, columns=body.column_names)
             body = pa.concat_tables([base, body], promote_options="default")
         return emitter(body)
 
-    return run
+    return part_groups(
+        rows, run, nparts, lambda b: key_parts(b.column(key), nparts)
+    )
 
 
 def incremental_dedup_indexed(
@@ -448,7 +423,12 @@ def incremental_dedup_indexed(
     import json
     import os
 
-    from .pipeline import _exact_block_edges, _explode_winnow, _fp_block_pairs
+    from .pipeline import (
+        _exact_block_edges,
+        _explode_winnow,
+        _fp_block_pairs,
+        shared_fp_pairs,
+    )
     from .stages import BandEmitStage, make_block_pair_emitter
 
     with open(os.path.join(index_path, "meta.json")) as f:
@@ -467,80 +447,46 @@ def incremental_dedup_indexed(
             f"index max {boundary - 1} >= delta min {delta_min}"
         )
 
-    def band_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(_part_u64(batch.column("band_key").to_numpy(), nparts))
-        )
-
-    def sha_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(_part_sha(batch.column("sha256"), nparts))
-        )
-
-    def fp_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(_part_u64(batch.column("fp").to_numpy(), nparts))
-        )
-
     # near tier: delta band rows shuffle; base band partitions stream
     delta_band = delta_sigs.map_batches(
         BandEmitStage(cfg, None, carry_kmv=True),
         batch_format="pyarrow",
-    ).map_batches(band_part, batch_format="pyarrow")
+    )
     near_emitter = make_block_pair_emitter(
         cfg, verify=True, hot=None, cross_min_id=boundary
     )
-    e_near = (
-        delta_band.groupby("part")
-        .map_groups(
-            _part_merge_emitter(os.path.join(index_path, "bands"), near_emitter),
-            batch_format="pyarrow",
-        )
-        .select_columns(["src", "dst"])
-    )
 
-    # exact tier: delta sha postings vs base sha partitions
-    delta_sha = delta_sigs.select_columns(["sha256", "id"]).map_batches(
-        sha_part, batch_format="pyarrow"
-    )
+    def near_cross(block: pa.Table) -> pa.Table:
+        return near_emitter(block).select(["src", "dst"])
 
     def exact_cross(block: pa.Table) -> pa.Table:
         return _cross_filter(boundary)(_exact_block_edges(block))
 
-    e_exact = delta_sha.groupby("part").map_groups(
-        _part_merge_emitter(os.path.join(index_path, "sha"), exact_cross),
-        batch_format="pyarrow",
+    edges = _index_join(
+        delta_sigs.select_columns(["sha256", "id"]),
+        "sha256",
+        os.path.join(index_path, "sha"),
+        nparts,
+        exact_cross,
+    ).union(
+        _index_join(
+            delta_band, "band_key", os.path.join(index_path, "bands"), nparts,
+            near_cross,
+        )
     )
-    edges = e_exact.union(e_near)
 
     if with_substring:
-        import pyarrow.compute as pc
-
-        delta_fp = (
-            delta_sigs.select_columns(["id", "winnow"])
-            .map_batches(_explode_winnow, batch_format="pyarrow")
-            .map_batches(fp_part, batch_format="pyarrow")
+        delta_fp = delta_sigs.select_columns(["id", "winnow"]).map_batches(
+            _explode_winnow, batch_format="pyarrow"
         )
-        fp_pairs = delta_fp.groupby("part").map_groups(
-            _part_merge_emitter(
-                os.path.join(index_path, "fp"),
-                _fp_block_pairs(cfg.max_bucket_size, boundary),
-            ),
-            batch_format="pyarrow",
+        fp_pairs = _index_join(
+            delta_fp,
+            "fp",
+            os.path.join(index_path, "fp"),
+            nparts,
+            _fp_block_pairs(cfg.max_bucket_size, boundary),
         )
-        t = cfg.winnow_k + cfg.winnow_window - 1
-        min_shared = max(1, (cfg.min_substring_tokens - t) // cfg.winnow_window)
-        from .pipeline import pair_counts
-
-        counted = pair_counts(fp_pairs)
-
-        def keep_shared(batch: pa.Table) -> pa.Table:
-            kept = batch.filter(
-                pc.greater_equal(batch.column("count()"), min_shared)
-            )
-            return pa.table({"src": kept.column("src"), "dst": kept.column("dst")})
-
-        edges = edges.union(counted.map_batches(keep_shared, batch_format="pyarrow"))
+        edges = edges.union(shared_fp_pairs(fp_pairs, cfg))
 
     return _finish_incremental(
         edges.materialize(), base_assign, delta_sigs, boundary, cluster_method

@@ -33,11 +33,16 @@ def _inject_stripped_schema(args: tuple, kwargs: dict) -> bool:
     read). Passing a metadata-free schema fixes it at the source.
 
     Returns False (leaving kwargs untouched) whenever injection could change
-    semantics: caller already passed schema/partitioning/_block_udf, a
-    requested column is not in the physical file schema (it must then be a
-    hive partition column ray materializes from the path), or schema
-    discovery fails."""
-    if any(k in kwargs for k in ("schema", "partitioning", "_block_udf")):
+    semantics: caller already passed schema/_block_udf or a partitioning
+    other than None, a requested column is not in the physical file
+    schema, or schema discovery fails — and, under Ray's default hive
+    partitioning, whenever a file sits below a ``key=value`` directory
+    (Ray adds that key as a column from the path, by the same segment rule
+    as below; an injected file schema would drop it)."""
+    if any(k in kwargs for k in ("schema", "_block_udf")):
+        return False
+    hive = "partitioning" not in kwargs
+    if not hive and kwargs["partitioning"] is not None:
         return False
     paths = args[0] if args else kwargs.get("paths")
     if paths is None:
@@ -48,6 +53,12 @@ def _inject_stripped_schema(args: tuple, kwargs: dict) -> bool:
         pa_ds = pads.dataset(
             paths, format="parquet", filesystem=kwargs.get("filesystem")
         )
+        if hive and any(
+            seg.count("=") == 1
+            for f in pa_ds.files
+            for seg in f.split("/")[:-1]
+        ):
+            return False
         schema = pa_ds.schema.remove_metadata()
         cols = kwargs.get("columns")
         if cols:

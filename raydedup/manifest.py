@@ -187,7 +187,8 @@ def resumable_signatures(
         os.path.join(ckpt.dir, f"shard={_shard_of_path(p)}", "part-0.parquet")
         for p in input_files
     ]
-    return _read_parquet(sorted(shard_files))
+    # fp=/shard= name the checkpoint layout, not data columns
+    return _read_parquet(sorted(shard_files), partitioning=None)
 
 
 def run_dedup_job(
@@ -237,6 +238,6 @@ def write_clusters_checkpoint(
     if os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
     assignments.write_parquet(out_dir)
-    n = _read_parquet(out_dir).count()
+    n = _read_parquet(out_dir, partitioning=None).count()
     ckpt.record("clusters", rows=n)
     return out_dir

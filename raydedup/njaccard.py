@@ -250,7 +250,7 @@ def drop_contaminated(
     (searchsorted membership): no shuffle of the train side. Above
     ``broadcast_limit`` flagged rows it falls back to a distributed
     left-outer anti-join (same pattern as pipeline.assign_clusters)."""
-    from .pipeline import join_partitions
+    from .pipeline import join_partitions, nonempty_blocks
 
     # distinct flagged train ids via one co-locating grouped_blocks pass —
     # groupby().count() paid per-group overhead over up-to-|train| groups
@@ -305,7 +305,7 @@ def drop_contaminated(
         )
 
     joined = train.join(
-        flagged,
+        nonempty_blocks(flagged),
         "left_outer",
         num_partitions=join_partitions(),
         on=(id_col,),

@@ -29,6 +29,7 @@ import ray
 import ray.data
 
 from .config import DEFAULT_CONFIG, SigConfig
+from .hashing import splitmix64
 from .lsh import band_hashes, make_band_key
 from .sketches.freq import FrequentKeysSketch
 from .stages import (
@@ -46,6 +47,86 @@ U64 = np.uint64
 # ---------------------------------------------------------------------------
 
 
+def key_parts(col, nparts: int, key_to_u64=None) -> np.ndarray:
+    """Partition in [0, nparts) of every key: splitmix64 of the key's uint64
+    view (integer keys), of ``key_to_u64(col)``, or of its xxh64 (strings)."""
+    from .hashing import xxh64_flat
+    from .tokenize import _string_array_np
+
+    if key_to_u64 is not None:
+        k64 = key_to_u64(col)
+    elif pa.types.is_integer(col.type):
+        k64 = col.to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
+    else:
+        flat, off = _string_array_np(
+            col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        )
+        k64 = xxh64_flat(flat, off, seed=17)
+    return (splitmix64(k64) % np.uint64(nparts)).astype(np.int64)
+
+
+def part_groups(
+    ds: "ray.data.Dataset", fn, nparts: int, part_of=None
+) -> "ray.data.Dataset":
+    """Run ``fn(rows, p)`` once per partition p in [0, nparts) that has rows,
+    with all of p's rows in one block. ``part_of(batch)`` gives each row's
+    partition; without it the rows carry an int ``part`` column.
+
+    One sort shuffle with fixed boundaries cuts the partitions into ~2×CPU
+    ranges, one block each; on one CPU the rows gather into a single range
+    without a sort shuffle (a shuffle's fixed per-task cost is most of a
+    small job). Ray returns an empty sort range as a block
+    with NO columns, which every later operator passes through unchanged
+    (Ray calls no map on a 0-row block), so each map batch also emits one
+    marker row per range: all-null but for the range's even sort key,
+    while a row of partition p gets the odd key 2p+1. Markers
+    sort first and are sliced off; a range without rows calls ``fn`` on a
+    0-row block with the input's columns (and the range's first p), so
+    ``fn`` must return its typed empty output for one."""
+    width = max(1, nparts)
+    cpus = join_partitions(64)
+    n_ranges = 1 if cpus == 1 else min(width, 2 * cpus)
+    starts = np.arange(n_ranges, dtype=np.int64) * width // n_ranges
+    markers = pa.array(2 * starts)
+
+    def add_key(batch: pa.Table) -> pa.Table:
+        if part_of is None:
+            part = batch.column("part").to_numpy()
+            batch = batch.drop_columns(["part"])
+        else:
+            part = part_of(batch)
+        nulls = pa.Table.from_arrays(
+            [pa.nulls(n_ranges, f.type) for f in batch.schema], schema=batch.schema
+        )
+        return pa.concat_tables(
+            [
+                nulls.append_column("part", markers),
+                batch.append_column("part", pa.array(2 * part + 1)),
+            ]
+        )
+
+    def run(block: pa.Table):
+        if n_ranges == 1:
+            block = block.sort_by("part")
+        key = block.column("part").to_numpy()
+        n_markers = int(np.count_nonzero(key % 2 == 0))
+        body = block.slice(n_markers).drop_columns(["part"])
+        part = key[n_markers:] // 2
+        if len(part) == 0:
+            yield fn(body, int(key[0]) // 2)
+            return
+        cuts = np.flatnonzero(part[1:] != part[:-1]) + 1
+        for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(part)]):
+            yield fn(body.slice(s, e - s), int(part[s]))
+
+    keyed = ds.map_batches(add_key, batch_format="pyarrow")
+    if n_ranges == 1:
+        keyed = keyed.repartition(1)
+    else:
+        keyed = keyed.sort("part", boundaries=(2 * starts[1:]).tolist())
+    return keyed.map_batches(run, batch_size=None, batch_format="pyarrow")
+
+
 def grouped_blocks(
     ds: "ray.data.Dataset",
     key: str,
@@ -60,35 +141,30 @@ def grouped_blocks(
     for millions of small groups; this pays ``nparts`` calls and lets the
     block fn process all its groups vectorized. ``key_to_u64`` converts
     non-integer keys to uint64 for partition hashing (default: uint64 view /
-    xxh64 of strings)."""
-    from .hashing import splitmix64 as _smix
-    from .hashing import xxh64_flat
-    from .tokenize import _string_array_np
-
+    xxh64 of strings). ``block_fn`` must accept a 0-row block (see
+    :func:`part_groups`)."""
     nparts = nparts or 2 * join_partitions(64)
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        col = batch.column(key)
-        if key_to_u64 is not None:
-            k64 = key_to_u64(col)
-        elif pa.types.is_integer(col.type):
-            k64 = col.to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
-        else:
-            flat, off = _string_array_np(
-                col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            )
-            k64 = xxh64_flat(flat, off, seed=17)
-        part = (_smix(k64) % np.uint64(nparts)).astype(np.int64)
-        return batch.append_column("part", pa.array(part))
-
-    def run_block(block: pa.Table) -> pa.Table:
-        return block_fn(block.select([c for c in block.column_names if c != "part"]))
-
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(run_block, batch_format="pyarrow")
+    return part_groups(
+        ds,
+        lambda block, p: block_fn(block),
+        nparts,
+        lambda batch: key_parts(batch.column(key), nparts, key_to_u64),
     )
+
+
+def nonempty_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """``ds`` materialized, without its 0-row blocks: the input a Ray hash
+    join needs. The join sends each input's schema to every partition with
+    the first block it shuffles, and sends nothing when that block is
+    empty, so partitions that get no rows then fail the join — and a
+    grouped output has one block per partition range, rows or not."""
+    refs = [
+        ref
+        for bundle in ds.materialize().iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows
+    ]
+    return ray.data.from_arrow_refs(refs) if refs else ds
 
 
 def pair_run_bounds(
@@ -219,7 +295,6 @@ def detect_hot_band_keys(
     across block partials)."""
     from ray.data.aggregate import AggregateFn
 
-    from .hashing import splitmix64 as _smix
     from .sketches.freq import NO_FALSE_POSITIVES
     from .stages import _binary_col_flat_u64
 
@@ -231,7 +306,7 @@ def detect_hot_band_keys(
 
         def keep_sample(batch: pa.Table) -> pa.Table:
             ids = batch.column("id").to_numpy().astype(np.int64).view(np.uint64)
-            return batch.filter(pa.array(_smix(ids ^ np.uint64(0x5A17)) < thresh))
+            return batch.filter(pa.array(splitmix64(ids ^ np.uint64(0x5A17)) < thresh))
 
         sigs = sigs.select_columns(["id", "minhash", "n_shingles"]).map_batches(
             keep_sample, batch_format="pyarrow"
@@ -340,6 +415,24 @@ def _banded(
     cross_min_id: int | None = None,
     wave: tuple[int, int] | None = None,
 ) -> "ray.data.Dataset":
+    """Band shuffle → (src, dst[, jaccard]) pairs, one block per partition.
+
+    The block fn emits the final columns itself: Ray never calls a map on
+    a 0-row block, so a later select_columns would leave those blocks
+    with the emitter's schema."""
+    delegate_round = bool(hot)
+    if hot and wave is not None:
+        # a hot key's rows, sub-buckets and delegates all live in the wave
+        # of its key; a wave without hot keys has no delegate round. The
+        # emitter still gets every hot key: its owner-band election reads
+        # the salt slots of all bands, not only the wave's.
+        keys = np.fromiter(hot, dtype=np.uint64, count=len(hot))
+        delegate_round = bool(
+            np.any(
+                splitmix64(keys ^ BandEmitStage.WAVE_SEED) % np.uint64(wave[1])
+                == np.uint64(wave[0])
+            )
+        )
     cols = ["id", "minhash", "n_shingles"]
     if carry_kmv:
         cols += ["kmv_theta", "kmv"]
@@ -353,11 +446,16 @@ def _banded(
     # processes ALL its buckets vectorized (make_block_pair_emitter).
     # (Measured: per-bucket map_groups on millions of mostly-singleton
     # buckets costs tens of seconds in pure python dispatch.)
-    block_emitter = make_block_pair_emitter(
+    emitter = make_block_pair_emitter(
         cfg, verify=verify, hot=hot, cross_min_id=cross_min_id
     )
+    out_cols = ["src", "dst", "jaccard"] if verify else ["src", "dst"]
+
+    def block_emitter(block: pa.Table) -> pa.Table:
+        return emitter(block).select(out_cols)
+
     pairs = grouped_blocks(band, "band_key", block_emitter)
-    if hot:
+    if delegate_round:
         # delegate round: min-id per salted sub-bucket regroups under the
         # hot key (tiny after the lower-bound hot selection)
         delegates = (
@@ -376,14 +474,13 @@ def candidate_pairs_lsh(
     cross_min_id: int | None = None,
 ) -> "ray.data.Dataset":
     """LSH band shuffle → UNIQUE unverified candidate pairs (src, dst)."""
-    pairs = _banded(
-        sigs, cfg, hot, carry_kmv=False, verify=False, cross_min_id=cross_min_id
-    )
     # pairs are globally unique thanks to the owner-band rule, with two
     # rare, harmless duplicate sources: delegate-bucket pairs, and capped
     # buckets' star edges (which bypass the rule — their election target
     # may itself have capped and dropped the pair)
-    return pairs.select_columns(["src", "dst"])
+    return _banded(
+        sigs, cfg, hot, carry_kmv=False, verify=False, cross_min_id=cross_min_id
+    )
 
 
 class _BroadcastVerify:
@@ -599,10 +696,9 @@ def near_edges(
                 sigs, cfg, hot, num_waves, cross_min_id=cross_min_id
             )
     if mode == "bucket":
-        edges = _banded(
+        return _banded(
             sigs, cfg, hot, carry_kmv=True, verify=True, cross_min_id=cross_min_id
         )
-        return edges.select_columns(["src", "dst", "jaccard"])
     pairs = candidate_pairs_lsh(sigs, cfg, hot, cross_min_id=cross_min_id)
     sketches_ref = _sketch_broadcast_ref(sigs, cfg)
     return pairs.map_batches(
@@ -644,7 +740,7 @@ def _near_edges_bucket_waves(
             verify=True,
             cross_min_id=cross_min_id,
             wave=(w, num_waves),
-        ).select_columns(["src", "dst", "jaccard"])
+        )
         # materialize = the wave barrier: verified edges are ~24 B/pair,
         # tiny next to the band shuffle this bounds
         parts.append(edges.materialize())
@@ -696,65 +792,24 @@ def _explode_winnow(batch: pa.Table) -> pa.Table:
 
 
 def _fp_block_pairs(max_bucket: int, cross_min_id: int | None = None):
-    """Block fn: all id-pairs within each duplicated-fp run, vectorized.
-
-    No Python iteration per fp bucket (a boilerplate-heavy corpus makes
-    millions of small buckets per partition): one (fp, id) lexsort, a
-    duplicate-posting filter, star emission for over-``max_bucket`` runs
-    via repeat/_intra, and triangle emission batched per DISTINCT run
-    size — all runs of size m become one (n_runs, m) gather + one
-    triu_indices, so the Python loop count is bounded by the number of
-    distinct sizes (≤ max_bucket), not the number of buckets."""
-    from .stages import _intra
+    """Block fn: all id-pairs within each duplicated-fp run, vectorized by
+    :func:`stages.bucket_pairs` (one (fp, id) lexsort; over-``max_bucket``
+    runs become representative stars)."""
+    from .stages import bucket_pairs
 
     def emit(block: pa.Table) -> pa.Table:
-        n = len(block)
-        empty = pa.table(
-            {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())}
-        )
-        if n == 0:
-            return empty
+        if len(block) == 0:
+            return pa.table(
+                {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())}
+            )
         fps = block.column("fp").to_numpy()
         ids = block.column("id").to_numpy()
         order = np.lexsort((ids, fps))
-        fps, ids = fps[order], ids[order]
-        # _explode_winnow dedupes fps per doc, so (fp, id) is unique and
-        # each run's ids are sorted unique; guard anyway for direct callers
-        dup = np.zeros(n, dtype=bool)
-        dup[1:] = (fps[1:] == fps[:-1]) & (ids[1:] == ids[:-1])
-        if dup.any():
-            keep = ~dup
-            fps, ids = fps[keep], ids[keep]
-            n = len(fps)
-        new_run = np.ones(n, dtype=bool)
-        new_run[1:] = fps[1:] != fps[:-1]
-        starts = np.flatnonzero(new_run)
-        counts = np.diff(np.concatenate([starts, [n]]))
-        out_s, out_d = [], []
-        big = counts > max_bucket
-        if big.any():
-            # representative star: min id (first of the sorted run) → rest
-            bs, bc = starts[big], counts[big]
-            out_s.append(np.repeat(ids[bs], bc - 1))
-            idx = np.repeat(bs + 1, bc - 1) + _intra(bc - 1)
-            out_d.append(ids[idx])
-        small = (counts >= 2) & ~big
-        ss, sc = starts[small], counts[small]
-        for m in np.unique(sc):
-            sel = sc == m
-            mat = ids[ss[sel][:, None] + np.arange(m)]
-            iu, ju = np.triu_indices(int(m), k=1)
-            out_s.append(mat[:, iu].ravel())
-            out_d.append(mat[:, ju].ravel())
-        if not out_s:
-            return empty
-        src = np.concatenate(out_s)
-        dst = np.concatenate(out_d)
-        if cross_min_id is not None:
-            # incremental mode: base-vs-base fp pairs are already known
-            cm = (src >= cross_min_id) | (dst >= cross_min_id)
-            src, dst = src[cm], dst[cm]
-        return pa.table({"src": pa.array(src), "dst": pa.array(dst)})
+        ids = ids[order]
+        ra, rb, _, _ = bucket_pairs(fps[order], ids, max_bucket, cross_min_id)
+        return pa.table(
+            {"src": pa.array(ids[ra], pa.int64()), "dst": pa.array(ids[rb], pa.int64())}
+        )
 
     return emit
 
@@ -764,22 +819,34 @@ def substring_edges(
 ) -> "ray.data.Dataset":
     """Pairs sharing enough winnow fingerprints to imply a verbatim block of
     >= min_substring_tokens tokens."""
-    t = cfg.winnow_k + cfg.winnow_window - 1
-    min_shared = max(1, (cfg.min_substring_tokens - t) // cfg.winnow_window)
     fp_rows = sigs.select_columns(["id", "winnow"]).map_batches(
         _explode_winnow, batch_format="pyarrow"
     )
     pairs = grouped_blocks(
         fp_rows, "fp", _fp_block_pairs(cfg.max_bucket_size, cross_min_id)
     )
-    counted = pair_counts(pairs)
+    return shared_fp_pairs(pairs, cfg)
 
-    def keep_shared(batch: pa.Table) -> pa.Table:
-        mask = pc.greater_equal(batch.column("count()"), min_shared)
-        kept = batch.filter(mask)
-        return pa.table({"src": kept.column("src"), "dst": kept.column("dst")})
 
-    return counted.map_batches(keep_shared, batch_format="pyarrow")
+def shared_fp_pairs(pairs: "ray.data.Dataset", cfg: SigConfig) -> "ray.data.Dataset":
+    """(src, dst) fingerprint pairs → the pairs that share at least
+    ``(min_substring_tokens - (winnow_k + winnow_window - 1)) //
+    winnow_window`` fingerprints: count and cut in one grouped pass."""
+    t = cfg.winnow_k + cfg.winnow_window - 1
+    min_shared = max(1, (cfg.min_substring_tokens - t) // cfg.winnow_window)
+
+    def block(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0:
+            return pa.table(
+                {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())}
+            )
+        _, idx, c, x, y = pair_run_bounds(
+            b.column("src").to_numpy(), b.column("dst").to_numpy()
+        )
+        keep = idx[c >= min_shared]
+        return pa.table({"src": pa.array(x[keep]), "dst": pa.array(y[keep])})
+
+    return grouped_blocks(pairs, "src", block)
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +998,7 @@ def containment_pairs(
 
     num_partitions = num_partitions or join_partitions(16, joins=2)
     sigs = corpus.map_batches(SignatureStage(cfg), batch_format="pyarrow")
-    cands = substring_edges(sigs, cfg)
+    cands = nonempty_blocks(substring_edges(sigs, cfg))
     contents = corpus.select_columns(["id", "content"])
     j1 = cands.join(
         contents,

@@ -9,8 +9,8 @@ near-duplicate scheme.
 Scale shape (mirrors the MinHash-LSH tier in stages.py):
 
 * one all-to-all on chunk keys, hash-partitioned into ~2×CPU partition
-  groups (`grouped_blocks`) — block-vectorized bucket processing, NOT a
-  python call per bucket group;
+  groups (`grouped_blocks`) — each block's buckets turn into pairs in one
+  `stages.bucket_pairs` call, NOT a python call per bucket;
 * pair uniqueness via the OWNER-CHUNK rule: a qualifying pair is emitted
   only by the smallest chunk index on which the two fingerprints agree, so
   no downstream dedup shuffle is needed;
@@ -30,7 +30,7 @@ import ray.data
 from .config import DEFAULT_CONFIG, SigConfig
 from .hashing import splitmix64
 from .simhash import popcount64
-from .stages import SignatureStage
+from .stages import SignatureStage, bucket_pairs
 
 U64 = np.uint64
 
@@ -80,8 +80,9 @@ def make_simhash_block_verifier(
     n_chunks: int,
     max_bucket: int = 4096,
 ):
-    """Block processor for hash-partitioned chunk rows: verifies every
-    bucket in the partition in one python call (vectorized inside).
+    """Block processor for hash-partitioned chunk rows: the candidate pairs
+    of every bucket in the partition come from one :func:`bucket_pairs`
+    call, then one Hamming filter and one owner-chunk pass cover them all.
 
     Emits (src, dst, hamming, capped) with src < dst; each qualifying pair
     appears exactly once globally (owner-chunk rule)."""
@@ -99,84 +100,37 @@ def make_simhash_block_verifier(
         )
 
     def verify_block(block: pa.Table) -> pa.Table:
-        n = len(block)
-        if n == 0:
+        if len(block) == 0:
             return _empty()
         keys = block.column("chunk_key").to_numpy()
-        ids_all = block.column("id").to_numpy()
-        sim_all = block.column("simhash").to_numpy().astype(np.uint64)
-        cidx_all = block.column("chunk_idx").to_numpy()
-        order = np.lexsort((ids_all, keys))
-        keys = keys[order]
-        ids_all = ids_all[order]
-        sim_all = sim_all[order]
-        cidx_all = cidx_all[order]
-
-        boundaries = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        ends = np.concatenate([boundaries[1:], [n]])
-        multi = (ends - boundaries) >= 2
-        if not multi.any():
-            return _empty()
-
-        out_src: list[np.ndarray] = []
-        out_dst: list[np.ndarray] = []
-        out_ham: list[np.ndarray] = []
-        out_cap: list[np.ndarray] = []
-
-        for s, e in zip(boundaries[multi], ends[multi]):
-            u = ids_all[s:e]
-            x = sim_all[s:e]
-            # one row per id per chunk upstream, but stay safe under replays
-            keep = np.concatenate([[True], u[1:] != u[:-1]])
-            u, x = u[keep], x[keep]
-            m = len(u)
-            if m < 2:
-                continue
-            if m <= max_bucket:
-                ia, ib = np.triu_indices(m, k=1)
-                capped = False
-            else:
-                # representative star over the WHOLE bucket: min-id member
-                # vs every other (O(m) edges — capping the star would
-                # silently exclude members from verification)
-                ia = np.zeros(m - 1, dtype=np.int64)
-                ib = np.arange(1, m)
-                capped = True
-            diff = x[ia] ^ x[ib]
-            ham = popcount64(diff)
-            hm = ham <= d
-            if not hm.any():
-                continue
-            ia, ib, diff, ham = ia[hm], ib[hm], diff[hm], ham[hm]
-            if not capped:
-                # owner-chunk rule: emit only from the smallest agreeing
-                # chunk. Capped buckets skip the rule — the owner chunk's
-                # bucket may itself be capped and not carry this pair as a
-                # star edge, so suppressing here could drop it everywhere
-                # (a star pair may duplicate one owned elsewhere: bounded
-                # by m per capped bucket and harmless to clustering).
-                my_chunk = int(cidx_all[s])
-                owner = np.full(len(diff), n_chunks, dtype=np.int64)
-                for c in range(n_chunks - 1, -1, -1):
-                    agree = (diff >> U64(c * width)) & mask == 0
-                    owner[agree] = c
-                om = owner == my_chunk
-                if not om.any():
-                    continue
-                ia, ib, ham = ia[om], ib[om], ham[om]
-            out_src.append(u[ia])
-            out_dst.append(u[ib])
-            out_ham.append(ham.astype(np.int64))
-            out_cap.append(np.full(len(ia), capped, dtype=bool))
-
-        if not out_src:
-            return _empty()
+        ids = block.column("id").to_numpy()
+        order = np.lexsort((ids, keys))
+        ids = ids[order]
+        ra, rb, cap, first = bucket_pairs(keys[order], ids, max_bucket)
+        sim = block.column("simhash").to_numpy().astype(np.uint64)[order]
+        diff = sim[ra] ^ sim[rb]
+        ham = popcount64(diff)
+        hm = ham <= d
+        ra, rb, cap, first, diff, ham = (
+            x[hm] for x in (ra, rb, cap, first, diff, ham)
+        )
+        # owner-chunk rule: emit only from the smallest agreeing chunk.
+        # Capped buckets skip the rule — the owner chunk's bucket may
+        # itself be capped and not carry this pair as a star edge, so
+        # suppressing here could drop it everywhere (a star pair may
+        # duplicate one owned elsewhere: bounded by m per capped bucket
+        # and deduped by simhash_dup_pairs).
+        owner = np.full(len(diff), n_chunks, dtype=np.int64)
+        for c in range(n_chunks - 1, -1, -1):
+            owner[(diff >> U64(c * width)) & mask == 0] = c
+        cidx = block.column("chunk_idx").to_numpy()[order]
+        keep = cap | (owner == cidx[first])
         return pa.table(
             {
-                "src": pa.array(np.concatenate(out_src), type=pa.int64()),
-                "dst": pa.array(np.concatenate(out_dst), type=pa.int64()),
-                "hamming": pa.array(np.concatenate(out_ham), type=pa.int64()),
-                "capped": pa.array(np.concatenate(out_cap), type=pa.bool_()),
+                "src": pa.array(ids[ra[keep]], type=pa.int64()),
+                "dst": pa.array(ids[rb[keep]], type=pa.int64()),
+                "hamming": pa.array(ham[keep].astype(np.int64), type=pa.int64()),
+                "capped": pa.array(cap[keep], type=pa.bool_()),
             }
         )
 

@@ -4,18 +4,22 @@ Stage layout (SURVEY §3.2 engine trace):
 
   read_parquet(corpus)
     → SignatureStage            (stateless map_batches, pyarrow)
-    → [exact tier]   groupby(sha256)      → exact edges
-    → [near tier]    band emission        → groupby(band_key ±salt)
-                     → candidate pairs + in-bucket KMV verify → edges
-    → [substring]    winnow fingerprints  → groupby(fp) → candidates
-    → union-find     label propagation    → cluster_id
+    → [exact tier]   grouped by sha256     → exact edges
+    → [near tier]    band emission         → grouped by band_key (±salt)
+                     → candidate pairs + KMV verify, per partition block
+    → [substring]    winnow fingerprints   → grouped by fp → candidates
+    → union-find     label propagation     → cluster_id
 
 Design notes for 100 TB scale:
   * The signature stage reads ONLY (id, content, …) columns and drops
     ``content`` on output — everything downstream ships ≤ ~2 KB/row.
-  * Near-tier shuffle layout is switchable (see BandEmitStage): in-bucket
-    verification with the KMV sketch carried in the band rows (one
-    all-to-all; measured fastest here), or sketch-free band rows whose
+  * Every bucketed tier turns a hash-partition block into pairs with one
+    kernel, :func:`bucket_pairs`: no Python loop per bucket, only one per
+    distinct bucket size. The near tier applies the owner-band rule and
+    the KMV verify to all of a block's pairs at once.
+  * Near-tier shuffle layout is switchable (see BandEmitStage): the KMV
+    sketch carried in the band rows (verify in the band shuffle's block;
+    one all-to-all; measured fastest here), or sketch-free band rows whose
     unique pairs verify against a broadcast sketch table. Both verify
     with the same theta Jaccard semantics.
   * Hot band keys (boilerplate) are detected by a Misra-Gries heavy-hitter
@@ -33,10 +37,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .config import SigConfig
-from .hashing import splitmix64, xxh64_u64s
+from .hashing import splitmix64
 from .kmv import MAX_THETA
 from .lsh import band_hashes, make_band_key
-from .minhash import EMPTY_SLOT, minhash_signatures
+from .minhash import minhash_signatures
 from .shingle import segment_unique, shingle_hashes
 from .simhash import simhash_signatures
 from .tokenize import tokenize_hashes
@@ -361,13 +365,82 @@ def _binary_col_flat_u64(arr: pa.Array, word_bytes: int = 8) -> tuple[np.ndarray
     whose cells are fixed-width word sequences — zero-copy from Arrow
     buffers. ``word_bytes``: 8 (uint64) or 4 (uint32)."""
     if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
+        # combine_chunks copies even a single chunk
+        arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
     bufs = arr.buffers()
     offsets = np.frombuffer(bufs[1], dtype=np.int64, count=len(arr) + 1 + arr.offset)
     offsets = offsets[arr.offset : arr.offset + len(arr) + 1]
     dt = np.uint64 if word_bytes == 8 else np.uint32
     data = np.frombuffer(bufs[2], dtype=dt) if bufs[2] is not None else np.zeros(0, dt)
     return data, (offsets // word_bytes).astype(np.int64)
+
+
+def bucket_pairs(
+    keys: np.ndarray,
+    ids: np.ndarray,
+    max_bucket: int,
+    cross_min_id: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate pairs of EVERY bucket in a block, with no Python loop per
+    bucket — the kernel behind every bucketed tier (near, substring,
+    SimHash, embedding LSH).
+
+    ``keys``/``ids`` must be sorted by (key, id); a bucket is a run of
+    equal keys. Returns ``(row_a, row_b, capped, run_first)``: row indices
+    into the sorted arrays with ``ids[row_a] < ids[row_b]``, whether the
+    pair comes from a capped bucket, and the row of its bucket's first
+    member (where callers read per-bucket values such as the band index).
+
+    Repeated (key, id) rows count once (the first is kept). A bucket of
+    more than ``max_bucket`` members becomes a representative star, its
+    min id paired with every other member: O(m) pairs that keep every
+    member connected. Buckets of 2..max_bucket members emit all their
+    pairs, batched per DISTINCT bucket size — all buckets of size m are
+    one (n_buckets, m) gather plus one triu_indices(m), so the loop count
+    is bounded by the number of distinct sizes, not of buckets.
+
+    ``cross_min_id``: keep only pairs with an id >= the boundary (both
+    ids below it = a pair known from an earlier run); buckets whose
+    largest id is below it are dropped before their pairs are built."""
+    n = len(keys)
+    dup = np.zeros(n, dtype=bool)
+    dup[1:] = (keys[1:] == keys[:-1]) & (ids[1:] == ids[:-1])
+    rows = np.flatnonzero(~dup)
+    new_run = np.ones(len(rows), dtype=bool)
+    new_run[1:] = keys[rows[1:]] != keys[rows[:-1]]
+    starts = np.flatnonzero(new_run)
+    counts = np.diff(np.append(starts, len(rows)))
+    multi = counts >= 2
+    if cross_min_id is not None:
+        multi &= ids[rows[starts + counts - 1]] >= cross_min_id
+    starts, counts = starts[multi], counts[multi]
+    big = counts > max_bucket
+    # (a, b, first) index the deduped rows; capped pairs come first
+    bs, bc = starts[big], counts[big] - 1
+    out_a = [np.repeat(bs, bc)]
+    out_b = [np.repeat(bs + 1, bc) + _intra(bc)]
+    out_first = [out_a[0]]
+    ss, sc = starts[~big], counts[~big]
+    for m in np.unique(sc):
+        s = ss[sc == m]
+        mat = s[:, None] + np.arange(m)
+        iu, ju = np.triu_indices(int(m), k=1)
+        out_a.append(mat[:, iu].ravel())
+        out_b.append(mat[:, ju].ravel())
+        out_first.append(np.repeat(s, len(iu)))
+    ra = rows[np.concatenate(out_a)]
+    rb = rows[np.concatenate(out_b)]
+    first = rows[np.concatenate(out_first)]
+    capped = np.zeros(len(ra), dtype=bool)
+    capped[: int(bc.sum())] = True
+    if cross_min_id is not None:
+        keep = ids[rb] >= cross_min_id
+        ra, rb, capped, first = ra[keep], rb[keep], capped[keep], first[keep]
+    return ra, rb, capped, first
+
+
+#: candidate pairs per slice of the near emitter's owner-band pass
+_PAIR_SLICE = 1 << 16
 
 
 def make_block_pair_emitter(
@@ -378,15 +451,21 @@ def make_block_pair_emitter(
 ):
     """Block-level bucket processor for hash-partitioned band rows.
 
-    Processes EVERY bucket in the block in one python call with all column
-    data pre-extracted as flat numpy arrays (zero-copy from Arrow) —
-    ``groupby().map_groups`` pays a python call + pyarrow slicing per group,
-    which measured ~300 CPU-seconds across millions of small buckets.
+    One python call per block: the rows are sorted by (band_key, id) and
+    :func:`bucket_pairs` emits the candidate pairs of every bucket at
+    once. Then, over all of the block's pairs together:
 
-    ``cross_min_id``: incremental-dedup filter — drop candidate pairs whose
-    BOTH endpoints are below the boundary (base×base pairs already known
-    from the base run) BEFORE the sketch verification, so an incremental
-    run pays verify cost only for pairs touching new (delta) docs.
+    * owner-band rule: a pair is kept only by the bucket of the FIRST band
+      in which the two docs co-bucket (same band hash and, for a hot
+      key, the same salt slot), so no dedup shuffle is needed. Delegate
+      buckets (band_idx 255) and capped buckets skip the rule.
+    * verify (bucket layouts): one :func:`kmv_jaccard_many` merge over
+      all pairs, cut at ``cfg.verify_threshold``.
+
+    ``cross_min_id``: incremental-dedup filter — base×base pairs (both
+    ids below the boundary) are known from the base run and are never
+    built, let alone verified, so an incremental run pays only for pairs
+    touching new (delta) docs.
     """
     if hot:
         _ha = np.fromiter(hot.keys(), dtype=np.uint64, count=len(hot))
@@ -395,141 +474,86 @@ def make_block_pair_emitter(
         hot_arr, hot_salts = _ha[_o], _hs[_o]
     else:
         hot_arr = hot_salts = None
+    band_nums = np.arange(cfg.bands, dtype=np.uint64)
 
     def emit_block(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        if n == 0:
+        if len(batch) == 0:
             return _empty_pair_table(verify)
         keys = batch.column("band_key").to_numpy()
         ids_all = batch.column("id").to_numpy()
         order = np.lexsort((ids_all, keys))
-        keys = keys[order]
         ids_all = ids_all[order]
-        band_idx_all = batch.column("band_idx").to_numpy()[order]
-        bh_flat, bh_off = _binary_col_flat_u64(batch.column("bandhashes"))
-        # offset-safe gather (cells are uniform bands-word sequences)
-        bh_mat = bh_flat[bh_off[:-1, None] + np.arange(cfg.bands)][order]
+        ra, rb, cap, first = bucket_pairs(
+            keys[order], ids_all, cfg.max_bucket_size, cross_min_id
+        )
+        my_band = batch.column("band_idx").to_numpy()[order][first]
+        ruled = ~cap & (my_band != 255)
+        if ruled.any():
+            # owner-band pair uniqueness: exactly one (small) bucket emits
+            # any given pair. Capped buckets skip the rule — the election
+            # can point at a bucket that capped and never emitted the
+            # pair, so star edges go out unconditionally (a star pair may
+            # duplicate one owned elsewhere: bounded by m per capped
+            # bucket and harmless to clustering). Delegate buckets exist
+            # for the cross-salt pairs the rule would drop.
+            bh_flat, bh_off = _binary_col_flat_u64(batch.column("bandhashes"))
+            # offset-safe gather (cells are uniform bands-word sequences)
+            bh = bh_flat[bh_off[:-1][order, None] + np.arange(cfg.bands)]
+            slots = None
+            if hot_arr is not None:
+                # per-row salt slot of every band (0 = cold key): a hot
+                # band co-buckets only inside one salt sub-bucket
+                bkeys = make_band_key(band_nums, bh)
+                idx = np.clip(np.searchsorted(hot_arr, bkeys), 0, len(hot_arr) - 1)
+                is_hot = hot_arr[idx] == bkeys
+                id_mix = splitmix64(ids_all.astype(np.uint64))[:, None]
+                ns = hot_salts[idx].astype(np.uint64)
+                slots = np.where(is_hot, U64(1) + id_mix % ns, U64(0))
+            xa, xb, xband = ra[ruled], rb[ruled], my_band[ruled]
+            owned = np.empty(len(xa), dtype=bool)
+            # (pairs, bands) co-bucket matrices in slices of pairs: bounds
+            # the temporaries to ~_PAIR_SLICE·bands words whatever the
+            # block's pair count
+            for i in range(0, len(xa), _PAIR_SLICE):
+                a, b = xa[i : i + _PAIR_SLICE], xb[i : i + _PAIR_SLICE]
+                co = bh[a] == bh[b]
+                if slots is not None:
+                    co &= slots[a] == slots[b]
+                owner = np.argmax(co, axis=1)
+                owned[i : i + _PAIR_SLICE] = (
+                    owner == xband[i : i + _PAIR_SLICE]
+                ) & co[np.arange(len(a)), owner]
+            keep = np.ones(len(ra), dtype=bool)
+            keep[ruled] = owned
+            ra, rb, cap = ra[keep], rb[keep], cap[keep]
+        if len(ra) == 0:
+            return _empty_pair_table(verify)
+        src, dst = ids_all[ra], ids_all[rb]
         if verify:
             kmv_flat, kmv_off = _binary_col_flat_u64(
                 batch.column("kmv"), cfg.kmv_hash_bytes
             )
-            thetas_all = batch.column("kmv_theta").to_numpy()[order]
+            thetas = batch.column("kmv_theta").to_numpy()
             if cfg.kmv_hash_bytes == 4:
-                thetas_all = (thetas_all >> U64(32)).astype(np.uint32)
-            kstart = kmv_off[:-1][order]
-            kend = kmv_off[1:][order]
-
-        boundaries = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        ends = np.concatenate([boundaries[1:], [n]])
-        multi = (ends - boundaries) >= 2
-        if not multi.any():
-            return _empty_pair_table(verify)
-
-        # pass 1: collect candidate pair row indices across ALL buckets
-        cand_ra: list[np.ndarray] = []
-        cand_rb: list[np.ndarray] = []
-        cand_cap: list[np.ndarray] = []
-
-        for s, e in zip(boundaries[multi], ends[multi]):
-            seg_ids = ids_all[s:e]
-            # rows sorted by id within the run → dedupe with a mask
-            keep = np.concatenate([[True], seg_ids[1:] != seg_ids[:-1]])
-            rows = np.flatnonzero(keep) + s  # absolute row index per member
-            u = seg_ids[keep]
-            m = len(u)
-            if m < 2:
-                continue
-            if m <= cfg.max_bucket_size:
-                ia, ib = np.triu_indices(m, k=1)
-                capped = False
-            else:
-                # representative star over the WHOLE bucket: O(m) edges
-                # keep every member connected to the min-id rep — capping
-                # the star itself would silently drop members
-                ia = np.zeros(m - 1, dtype=np.int64)
-                ib = np.arange(1, m)
-                capped = True
-            my_band = int(band_idx_all[s])
-            if my_band != 255 and not capped:
-                # owner-band pair uniqueness: exactly one (small) bucket
-                # emits any given pair. Capped buckets skip the rule — the
-                # election can point at a bucket that capped and never
-                # emitted the pair, so star edges go out unconditionally
-                # (a star pair may duplicate one owned elsewhere: bounded
-                # by m per capped bucket and harmless to clustering).
-                bh = bh_mat[rows]
-                co = bh[ia] == bh[ib]
-                if hot_arr is not None:
-                    hotm, salts = _salt_slots(cfg, hot_arr, hot_salts, bh, u)
-                    co &= (~hotm[ia]) | (salts[ia] == salts[ib])
-                owner = np.argmax(co, axis=1)
-                mask = (owner == my_band) & co[np.arange(len(ia)), owner]
-                ia, ib = ia[mask], ib[mask]
-                if len(ia) == 0:
-                    continue
-            cand_ra.append(rows[ia])
-            cand_rb.append(rows[ib])
-            cand_cap.append(np.full(len(ia), capped, dtype=bool))
-
-        if not cand_ra:
-            return _empty_pair_table(verify)
-        ra = np.concatenate(cand_ra)
-        rb = np.concatenate(cand_rb)
-        cap = np.concatenate(cand_cap)
-        src, dst = ids_all[ra], ids_all[rb]
-        if cross_min_id is not None:
-            cm = (src >= cross_min_id) | (dst >= cross_min_id)
-            if not cm.any():
-                return _empty_pair_table(verify)
-            ra, rb, cap, src, dst = ra[cm], rb[cm], cap[cm], src[cm], dst[cm]
-        if verify:
-            # pass 2: ONE vectorized merge over all pairs in the block
+                thetas = (thetas >> U64(32)).astype(np.uint32)
+            oa, ob = order[ra], order[rb]  # rows of the unsorted batch
             jac = kmv_jaccard_many(
-                kmv_flat, kstart[ra], kend[ra], thetas_all[ra],
-                kmv_flat, kstart[rb], kend[rb], thetas_all[rb],
+                kmv_flat, kmv_off[oa], kmv_off[oa + 1], thetas[oa],
+                kmv_flat, kmv_off[ob], kmv_off[ob + 1], thetas[ob],
                 cfg.kmv_k,
             )
             km = jac >= cfg.verify_threshold
-            if not km.any():
-                return _empty_pair_table(verify)
             src, dst, jac, cap = src[km], dst[km], jac[km], cap[km]
         cols = {
             "src": pa.array(src, type=pa.int64()),
             "dst": pa.array(dst, type=pa.int64()),
         }
         if verify:
-            cols["jaccard"] = pa.array(jac)
+            cols["jaccard"] = pa.array(jac, type=pa.float64())
         cols["capped"] = pa.array(cap, type=pa.bool_())
         return pa.table(cols)
 
     return emit_block
-
-
-def _salt_slots(
-    cfg: SigConfig,
-    hot_arr: np.ndarray,
-    hot_salts: np.ndarray,
-    bh: np.ndarray,
-    ids: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-(doc, band) hot flags + salt slots.
-
-    ``hot_arr``: sorted hot band keys; ``hot_salts``: matching n_salt values.
-    Returns (hot_mask (n, bands) bool, salts (n, bands) int64; 0 when cold).
-    """
-    n, bands = bh.shape
-    hot_mask = np.zeros((n, bands), dtype=bool)
-    salts = np.zeros((n, bands), dtype=np.int64)
-    id_mix = splitmix64(ids.astype(np.uint64))
-    for b in range(bands):
-        keys = make_band_key(np.full(n, b, dtype=np.uint64), bh[:, b])
-        idx = np.clip(np.searchsorted(hot_arr, keys), 0, len(hot_arr) - 1)
-        is_hot = hot_arr[idx] == keys
-        hot_mask[:, b] = is_hot
-        if is_hot.any():
-            ns = hot_salts[idx[is_hot]].astype(np.uint64)
-            salts[is_hot, b] = 1 + (id_mix[is_hot] % ns).astype(np.int64)
-    return hot_mask, salts
 
 
 def _empty_pair_table(verify: bool = False) -> pa.Table:

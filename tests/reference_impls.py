@@ -92,3 +92,243 @@ def exact_jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 0.0
     return len(a & b) / len(a | b)
+
+
+# ---------------------------------------------------------------------------
+# Per-bucket pair loops: the scalar references for stages.bucket_pairs and
+# its callers. Each walks the sorted block one bucket at a time, the way
+# the engine did before the batched kernel. They reuse the package's leaf
+# kernels (band keys, splitmix64, popcount, the KMV merge, quantize) but
+# none of its pair enumeration or owner rules.
+# ---------------------------------------------------------------------------
+
+
+def near_block_pairs_loop(cfg, verify=True, hot=None, cross_min_id=None):
+    """Reference for stages.make_block_pair_emitter: (src, dst[, jaccard],
+    capped) rows of a block of band rows."""
+    import numpy as np
+    import pyarrow as pa
+
+    from raydedup.hashing import splitmix64
+    from raydedup.lsh import make_band_key
+    from raydedup.stages import _binary_col_flat_u64, kmv_jaccard_many
+
+    if hot:
+        hot_arr = np.array(sorted(hot), dtype=np.uint64)
+        hot_salts = np.array([hot[int(k)] for k in hot_arr], dtype=np.int64)
+    else:
+        hot_arr = hot_salts = None
+
+    def salt_slots(bh, ids):
+        n, bands = bh.shape
+        hot_mask = np.zeros((n, bands), dtype=bool)
+        salts = np.zeros((n, bands), dtype=np.int64)
+        id_mix = splitmix64(ids.astype(np.uint64))
+        for b in range(bands):
+            keys = make_band_key(np.full(n, b, dtype=np.uint64), bh[:, b])
+            idx = np.clip(np.searchsorted(hot_arr, keys), 0, len(hot_arr) - 1)
+            is_hot = hot_arr[idx] == keys
+            hot_mask[:, b] = is_hot
+            if is_hot.any():
+                ns = hot_salts[idx[is_hot]].astype(np.uint64)
+                salts[is_hot, b] = 1 + (id_mix[is_hot] % ns).astype(np.int64)
+        return hot_mask, salts
+
+    def emit(batch):
+        n = len(batch)
+        keys = batch.column("band_key").to_numpy()
+        ids_all = batch.column("id").to_numpy()
+        order = np.lexsort((ids_all, keys))
+        keys, ids_all = keys[order], ids_all[order]
+        band_idx_all = batch.column("band_idx").to_numpy()[order]
+        bh_flat, bh_off = _binary_col_flat_u64(batch.column("bandhashes"))
+        bh_mat = bh_flat[bh_off[:-1, None] + np.arange(cfg.bands)][order]
+        if verify:
+            kmv_flat, kmv_off = _binary_col_flat_u64(
+                batch.column("kmv"), cfg.kmv_hash_bytes
+            )
+            thetas_all = batch.column("kmv_theta").to_numpy()[order]
+            if cfg.kmv_hash_bytes == 4:
+                thetas_all = (thetas_all >> np.uint64(32)).astype(np.uint32)
+            kstart, kend = kmv_off[:-1][order], kmv_off[1:][order]
+        boundaries = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        ends = np.concatenate([boundaries[1:], [n]])
+        out_ra, out_rb, out_cap = [], [], []
+        for s, e in zip(boundaries, ends):
+            seg_ids = ids_all[s:e]
+            keep = np.concatenate([[True], seg_ids[1:] != seg_ids[:-1]])
+            rows = np.flatnonzero(keep) + s
+            u = seg_ids[keep]
+            m = len(u)
+            if m < 2:
+                continue
+            if m <= cfg.max_bucket_size:
+                ia, ib = np.triu_indices(m, k=1)
+                capped = False
+            else:
+                ia = np.zeros(m - 1, dtype=np.int64)
+                ib = np.arange(1, m)
+                capped = True
+            my_band = int(band_idx_all[s])
+            if my_band != 255 and not capped:
+                bh = bh_mat[rows]
+                co = bh[ia] == bh[ib]
+                if hot_arr is not None:
+                    hotm, salts = salt_slots(bh, u)
+                    co &= (~hotm[ia]) | (salts[ia] == salts[ib])
+                owner = np.argmax(co, axis=1)
+                mask = (owner == my_band) & co[np.arange(len(ia)), owner]
+                ia, ib = ia[mask], ib[mask]
+            out_ra.append(rows[ia])
+            out_rb.append(rows[ib])
+            out_cap.append(np.full(len(ia), capped, dtype=bool))
+        ra = np.concatenate(out_ra + [np.zeros(0, np.int64)]).astype(np.int64)
+        rb = np.concatenate(out_rb + [np.zeros(0, np.int64)]).astype(np.int64)
+        cap = np.concatenate(out_cap + [np.zeros(0, bool)])
+        src, dst = ids_all[ra], ids_all[rb]
+        if cross_min_id is not None:
+            cm = (src >= cross_min_id) | (dst >= cross_min_id)
+            ra, rb, cap, src, dst = ra[cm], rb[cm], cap[cm], src[cm], dst[cm]
+        cols = {"src": src, "dst": dst}
+        if verify:
+            jac = kmv_jaccard_many(
+                kmv_flat, kstart[ra], kend[ra], thetas_all[ra],
+                kmv_flat, kstart[rb], kend[rb], thetas_all[rb],
+                cfg.kmv_k,
+            )
+            km = jac >= cfg.verify_threshold
+            cols = {"src": src[km], "dst": dst[km], "jaccard": jac[km]}
+            cap = cap[km]
+        cols["capped"] = cap
+        return pa.table(cols)
+
+    return emit
+
+
+def simhash_block_pairs_loop(d, n_chunks, max_bucket):
+    """Reference for simdedup.make_simhash_block_verifier."""
+    import numpy as np
+    import pyarrow as pa
+
+    from raydedup.simhash import popcount64
+
+    width = 64 // n_chunks
+    mask = np.uint64((1 << width) - 1)
+
+    def verify(block):
+        n = len(block)
+        keys = block.column("chunk_key").to_numpy()
+        ids_all = block.column("id").to_numpy()
+        order = np.lexsort((ids_all, keys))
+        keys, ids_all = keys[order], ids_all[order]
+        sim_all = block.column("simhash").to_numpy().astype(np.uint64)[order]
+        cidx_all = block.column("chunk_idx").to_numpy()[order]
+        boundaries = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        ends = np.concatenate([boundaries[1:], [n]])
+        out = []
+        for s, e in zip(boundaries, ends):
+            u, x = ids_all[s:e], sim_all[s:e]
+            keep = np.concatenate([[True], u[1:] != u[:-1]])
+            u, x = u[keep], x[keep]
+            m = len(u)
+            if m < 2:
+                continue
+            if m <= max_bucket:
+                ia, ib = np.triu_indices(m, k=1)
+                capped = False
+            else:
+                ia = np.zeros(m - 1, dtype=np.int64)
+                ib = np.arange(1, m)
+                capped = True
+            diff = x[ia] ^ x[ib]
+            ham = popcount64(diff)
+            hm = ham <= d
+            ia, ib, diff, ham = ia[hm], ib[hm], diff[hm], ham[hm]
+            if not capped:
+                owner = np.full(len(diff), n_chunks, dtype=np.int64)
+                for c in range(n_chunks - 1, -1, -1):
+                    owner[(diff >> np.uint64(c * width)) & mask == 0] = c
+                om = owner == int(cidx_all[s])
+                ia, ib, ham = ia[om], ib[om], ham[om]
+            out += [
+                (int(u[a]), int(u[b]), int(h), capped)
+                for a, b, h in zip(ia, ib, ham)
+            ]
+        return pa.table(
+            {
+                "src": pa.array([r[0] for r in out], pa.int64()),
+                "dst": pa.array([r[1] for r in out], pa.int64()),
+                "hamming": pa.array([r[2] for r in out], pa.int64()),
+                "capped": pa.array([r[3] for r in out], pa.bool_()),
+            }
+        )
+
+    return verify
+
+
+def embedding_block_pairs_loop(threshold, n_tables, max_bucket):
+    """Reference for embed.make_embedding_block_verifier."""
+    import numpy as np
+    import pyarrow as pa
+
+    from raydedup.embed import _batch_matrix, quantize
+
+    def verify(block):
+        n = len(block)
+        buckets = block.column("bucket").to_numpy()
+        ids_all = block.column("vec_id").to_numpy()
+        order = np.lexsort((ids_all, buckets))
+        buckets, ids_all = buckets[order], ids_all[order]
+        tidx_all = block.column("table_idx").to_numpy()[order]
+        emb_all = _batch_matrix(block, "embedding")[order]
+        ak = block.column("all_keys").combine_chunks()
+        keys_all = np.frombuffer(
+            ak.buffers()[1], dtype="<u8", count=n * n_tables,
+            offset=ak.offset * 8 * n_tables,
+        ).reshape(n, n_tables)[order]
+        bnd = np.flatnonzero(np.concatenate([[True], buckets[1:] != buckets[:-1]]))
+        ends = np.concatenate([bnd[1:], [n]])
+        out = []
+        for s, e in zip(bnd, ends):
+            u = ids_all[s:e]
+            keep = np.concatenate([[True], u[1:] != u[:-1]])
+            rows = np.flatnonzero(keep) + s
+            u = u[keep]
+            m = len(u)
+            if m < 2:
+                continue
+            if m <= max_bucket:
+                ia, ib = np.triu_indices(m, k=1)
+                capped = False
+            else:
+                ia = np.zeros(m - 1, dtype=np.int64)
+                ib = np.arange(1, m)
+                capped = True
+            ra, rb = rows[ia], rows[ib]
+            qa, qb = quantize(emb_all[ra]), quantize(emb_all[rb])
+            dots = (qa * qb).sum(axis=1)
+            na = np.sqrt((qa * qa).sum(axis=1))
+            nb = np.sqrt((qb * qb).sum(axis=1))
+            na[na == 0] = 1.0
+            nb[nb == 0] = 1.0
+            c = dots / (na * nb)
+            km = c >= threshold
+            ia, ib, ra, rb, c = ia[km], ib[km], ra[km], rb[km], c[km]
+            if n_tables > 1 and not capped:
+                owner = np.argmax(keys_all[ra] == keys_all[rb], axis=1)
+                om = owner == int(tidx_all[s])
+                ia, ib, c = ia[om], ib[om], c[om]
+            out += [
+                (int(u[a]), int(u[b]), float(v), capped)
+                for a, b, v in zip(ia, ib, c)
+            ]
+        return pa.table(
+            {
+                "src": pa.array([r[0] for r in out], pa.int64()),
+                "dst": pa.array([r[1] for r in out], pa.int64()),
+                "cosine": pa.array([r[2] for r in out], pa.float64()),
+                "capped": pa.array([r[3] for r in out], pa.bool_()),
+            }
+        )
+
+    return verify

@@ -181,6 +181,46 @@ def test_cli_convert_partitioned(tmp_path):
     assert n == 900
 
 
+def test_cli_reads_back_its_partitioned_output(tmp_path):
+    """The CLI reads the hive layout it writes with every column: the
+    partition key comes back from the ``lang=…`` directory names."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    corpus = str(tmp_path / "corpus.parquet")
+    n = 90
+    pq.write_table(
+        pa.table(
+            {
+                "id": pa.array(range(n), pa.int64()),
+                "lang": [("py", "go", "rs")[i % 3] for i in range(n)],
+                "content": [f"doc {i} " * 5 for i in range(n)],
+            }
+        ),
+        corpus,
+    )
+    _run(
+        ["convert", corpus, "--input-format", "parquet",
+         "--out", str(tmp_path / "bylang"), "--partition-by", "lang",
+         "--num-cpus", "2"]
+    )
+    _run(
+        ["convert", str(tmp_path / "bylang"), "--input-format", "parquet",
+         "--to", "jsonl", "--out", str(tmp_path / "back"), "--num-cpus", "2"]
+    )
+    rows = []
+    for fp in glob.glob(f"{tmp_path}/back/*"):
+        with open(fp) as f:
+            rows += [json.loads(line) for line in f if line.strip()]
+    want = pq.read_table(corpus, columns=["id", "lang"]).to_pylist()
+    assert len(rows) == len(want) == n
+    assert {r["id"]: r.get("lang") for r in rows} == {
+        r["id"]: r["lang"] for r in want
+    }
+
+
 def test_cli_semdedup(tmp_path):
     emb = "/root/testdata/sf0.001/embeddings.parquet"
     out = _run(

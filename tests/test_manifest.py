@@ -105,3 +105,16 @@ def test_fingerprint_isolates_configs(ray_session, tmp_path):
     c2 = StageCheckpoint(ck, "signatures", other)
     assert c1.dir != c2.dir
     assert c2.done_shards() == set()
+
+
+def test_fingerprint_ignores_verify_margin_only():
+    """verify_margin moves the verify cut, not a signature: tuning it keeps
+    the fingerprint (and so every signature checkpoint); a field that
+    changes signature content does not."""
+    import dataclasses
+
+    assert dataclasses.replace(CFG, verify_margin=0.05).fingerprint == CFG.fingerprint
+    assert (
+        dataclasses.replace(CFG, num_perm=64, bands=8, rows_per_band=8).fingerprint
+        != CFG.fingerprint
+    )

@@ -562,6 +562,51 @@ def test_bucket_waves_agree_with_hot_keys(ray_session):
     assert len(roots) == 1, "hot cluster split across waves"
 
 
+def test_bucket_waves_elect_owner_bands_across_waves(ray_session):
+    """A wave's owner-band election must see the hot keys of every wave.
+
+    Near-duplicates that share an early hot band (in different salt
+    sub-buckets) and a later cold band are owned by the cold band; when
+    the hot key hashes to another wave, a wave that forgot it would elect
+    the hot band, drop the pair, and the hot band's wave never builds it
+    (the docs sit in different sub-buckets). Edge SETS must match."""
+    import ray
+    import ray.data
+
+    from raydedup.lsh import band_hashes, make_band_key
+    from raydedup.pipeline import near_edges, signatures
+    from raydedup.stages import _binary_col_flat_u64
+
+    rng = np.random.default_rng(21)
+    base = [f"w{x}" for x in rng.integers(0, 40000, 120)]
+    rows = []
+    for _ in range(40):
+        ws = list(base)
+        ws[rng.integers(0, len(ws))] = f"e{rng.integers(0, 40000)}"
+        rows.append(" ".join(ws))
+    rows += [" ".join(f"u{x}" for x in rng.integers(0, 40000, 40)) for _ in range(60)]
+    tbl = pa.table({"id": pa.array(np.arange(len(rows), dtype=np.int64)), "content": rows})
+    sigs = signatures(ray.data.from_arrow(tbl), CFG).materialize()
+
+    # hot: every family band key of the first half of the bands, 4 salts
+    mh = pa.concat_tables(ray.get(sigs.select_columns(["id", "minhash"]).sort("id").to_arrow_refs()))
+    flat, _ = _binary_col_flat_u64(mh.column("minhash"))
+    bh = band_hashes(
+        flat.reshape(len(mh), CFG.num_perm)[:40], CFG.bands, CFG.rows_per_band, CFG.seed
+    )
+    keys = make_band_key(np.arange(CFG.bands, dtype=np.uint64), bh)
+    hot = {int(k): 4 for k in np.unique(keys[:, : CFG.bands // 2])}
+
+    def edge_set(mode, **kw):
+        out = near_edges(sigs, CFG, hot, mode=mode, **kw).to_pandas()
+        return set(zip(out["src"], out["dst"]))
+
+    ref = edge_set("bucket")
+    assert len(ref) > 100  # the family pairs up across many bands
+    for w in (2, 4):
+        assert edge_set("bucket_waves", num_waves=w) == ref, w
+
+
 def test_bucket_waves_cross_min_id_agrees_with_bucket(ray_session):
     """The incremental tier's base×base pre-filter (cross_min_id) is
     layout-invariant: waves and hybrid emit exactly bucket's cross/delta
@@ -672,6 +717,42 @@ def test_band_shuffle_partitions_and_edges_are_frozen(ray_session):
     assert delegate_pairs <= set(pairs)
 
 
+@pytest.mark.parametrize("cpus", [1, None])
+def test_part_groups_call_fn_once_per_whole_partition(ray_session, monkeypatch, cpus):
+    """part_groups hands fn every non-empty partition whole, once, both on
+    sorted ranges and on one CPU's single gathered range, and every block
+    it yields carries fn's columns (empty ranges included)."""
+    import pyarrow.compute as pc
+    import ray
+    import ray.data
+
+    from raydedup import pipeline
+
+    if cpus is not None:
+        monkeypatch.setattr(pipeline, "join_partitions", lambda *a, **k: cpus)
+    k = np.arange(300) % 13
+    tbl = pa.table({"k": pa.array(k), "v": pa.array(np.arange(300) * 7)})
+    ds = ray.data.from_arrow(tbl).repartition(5)
+
+    def fn(block: pa.Table, p: int) -> pa.Table:
+        # one summary row per non-empty partition, none for an empty range
+        row = [(p, block.num_rows, pc.sum(block.column("v")).as_py())] * bool(len(block))
+        return pa.table(
+            {c: pa.array([r[i] for r in row], pa.int64()) for i, c in enumerate("pnv")}
+        )
+
+    out = pipeline.part_groups(ds, fn, 16, lambda b: b.column("k").to_numpy() % 16)
+    blocks = ray.get(out.to_arrow_refs())
+    for b in blocks:
+        assert b.column_names == ["p", "n", "v"], b.schema
+    got = sorted(zip(*(pa.concat_tables(blocks).column(c).to_pylist() for c in "pnv")))
+    want = sorted(
+        (int(p), int((k == p).sum()), int((np.arange(300) * 7)[k == p].sum()))
+        for p in np.unique(k)
+    )
+    assert got == want
+
+
 def test_verify_margin_widens_the_edge_set_consistently(ray_session):
     """verify_margin=0 is bit-identical to the historical behavior (the
     mode-agreement tests above run at the default); a positive margin
@@ -704,3 +785,33 @@ def test_verify_margin_widens_the_edge_set_consistently(ray_session):
     assert wide["bucket"] == wide["hybrid"] == wide["bucket_waves"]
     assert wide["bucket"] >= base_set
     assert len(wide["bucket"]) > len(base_set)  # fixture has band pairs
+
+
+def test_tier_edge_blocks_all_carry_the_tier_schema(ray_session):
+    """Every block the exact, near and substring tiers emit carries the
+    tier's columns — none is the column-less empty block Ray's sort returns
+    for an empty range (with more input blocks than partitions, some range
+    is always empty)."""
+    import ray
+    import ray.data
+
+    from raydedup.pipeline import exact_edges, near_edges, signatures, substring_edges
+
+    tbl = _mini_corpus()
+    sigs = signatures(ray.data.from_arrow(tbl).repartition(24), CFG).materialize()
+    want = {
+        "exact": ["src", "dst"],
+        "near": ["src", "dst", "jaccard"],
+        "substring": ["src", "dst"],
+    }
+    tiers = {
+        "exact": exact_edges(sigs),
+        "near": near_edges(sigs, CFG, mode="bucket"),
+        "substring": substring_edges(sigs, CFG),
+    }
+    for name, ds in tiers.items():
+        blocks = ray.get(ds.to_arrow_refs())
+        assert sum(b.num_rows for b in blocks) > 0, name
+        for b in blocks:
+            assert b.column_names == want[name], (name, b.num_rows, b.schema)
+            assert all(pa.types.is_int64(b.schema.field(c).type) for c in ("src", "dst"))
