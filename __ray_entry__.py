@@ -949,7 +949,7 @@ def _q_top_tokens(sf_dir: str):
 
     from raydedup.aggregates import frequent_items_generic
     from raydedup.sketches.freq import FrequentItemsSketch
-    from raydedup.textstats import _ASCII_WS
+    from raydedup.tokenize import _ASCII_WS, split_tokens
 
     docs = _read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
@@ -957,9 +957,7 @@ def _q_top_tokens(sf_dir: str):
         text = batch.column("text")
         if isinstance(text, pa.ChunkedArray):
             text = text.combine_chunks()
-        toks = pc.split_pattern_regex(
-            pc.utf8_trim(pc.fill_null(text, ""), _ASCII_WS), r"\s+"
-        )
+        toks = split_tokens(pc.utf8_trim(pc.fill_null(text, ""), _ASCII_WS))
         if isinstance(toks, pa.ChunkedArray):
             toks = toks.combine_chunks()
         flat = toks.flatten()

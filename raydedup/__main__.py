@@ -66,6 +66,12 @@ def _init_ray(num_cpus: int | None) -> None:
     import ray
 
     if not ray.is_initialized():
+        # workers start fresh interpreters that see PYTHONPATH but not this
+        # process's sys.path: hand them the directory holding the package
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        prior = os.environ.get("PYTHONPATH")
+        if root not in (prior or "").split(os.pathsep):
+            os.environ["PYTHONPATH"] = root + (os.pathsep + prior if prior else "")
         kw = {"num_cpus": num_cpus} if num_cpus else {}
         ray.init(address="local", include_dashboard=False, **kw)
 

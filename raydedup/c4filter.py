@@ -37,7 +37,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_ASCII_WS = " \t\n\r\v\f"
+from .tokenize import _ASCII_WS
 
 TERMINAL_PUNCT_RE = '[.!?"]$'
 SENTENCE_MARK_RE = "[.!?]"

@@ -45,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_ASCII_WS = " \t\n\r\v\f"
+from .tokenize import _ASCII_WS, split_tokens
 
 # Gopher A1's "must contain at least 2 of the following English words"
 STOP_WORDS = ("the", "be", "to", "of", "and", "that", "have", "with")
@@ -73,7 +73,7 @@ def _flat_words(text: pa.Array) -> tuple[pa.Array, np.ndarray]:
     """(flat word array, per-row word counts) under the repo tokenization
     rule — whitespace-only rows contribute zero words."""
     trimmed = pc.utf8_trim(pc.fill_null(text, ""), _ASCII_WS)
-    toks = pc.split_pattern_regex(trimmed, r"\s+")
+    toks = split_tokens(trimmed)
     if isinstance(toks, pa.ChunkedArray):
         toks = toks.combine_chunks()
     counts = pc.list_value_length(toks).to_numpy().astype(np.int64)

@@ -232,7 +232,7 @@ class IvfPqAdcScorer:
             run_d.append(dist.ravel())
         if not run_q:
             return self._empty()
-        from .stages import _intra
+        from .shingle import _intra_offsets
 
         q = np.concatenate(run_q)
         v = np.concatenate(run_v)
@@ -244,7 +244,7 @@ class IvfPqAdcScorer:
         qs, vs, ds_ = q[order], v[order], d[order]
         first = np.flatnonzero(np.r_[True, qs[1:] != qs[:-1]])
         kk = np.minimum(np.diff(np.r_[first, len(qs)]), self.k)
-        take = np.repeat(first, kk) + _intra(kk)
+        take = np.repeat(first, kk) + _intra_offsets(kk)
         return pa.table(
             {
                 "query_id": pa.array(self.query_ids[qs[take]], pa.int64()),

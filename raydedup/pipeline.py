@@ -532,13 +532,14 @@ def _sketch_broadcast_ref(sigs: "ray.data.Dataset", cfg: SigConfig):
     order = np.argsort(cat.column("id").to_numpy())
     sk_ids = cat.column("id").to_numpy()[order]
     sk_thetas = cat.column("kmv_theta").to_numpy()[order]
-    from .stages import _binary_col_flat_u64, _intra
+    from .shingle import _intra_offsets
+    from .stages import _binary_col_flat_u64
 
     wb = cfg.kmv_hash_bytes
     flat_all, off_all = _binary_col_flat_u64(cat.column("kmv"), wb)
     lens = (off_all[1:] - off_all[:-1])[order]
     starts = off_all[:-1][order]
-    idx = np.repeat(starts, lens) + _intra(lens)
+    idx = np.repeat(starts, lens) + _intra_offsets(lens)
     flat = flat_all[idx]
     off = np.concatenate([[0], np.cumsum(lens)])
     from .io import put_broadcast
@@ -759,10 +760,11 @@ def _explode_winnow(batch: pa.Table) -> pa.Table:
     """(id, winnow-blob) rows → (fp, id) posting rows, fps deduped per doc.
 
     Fully vectorized: zero-copy flat uint64 view of the binary column
-    (stages._binary_col_flat_u64), one global (row, fp) lexsort, and a
-    run-boundary keep mask — no Python iteration per document (a winnow
+    (stages._binary_col_flat_u64) and shingle.segment_unique's per-row
+    sorted distinct set — no Python iteration per document (a winnow
     blob is a packed sequence of (fp, pos) uint64 pairs, so the flat view
     interleaves fp/pos throughout and fps sit at even word offsets)."""
+    from .shingle import segment_unique
     from .stages import _binary_col_flat_u64
 
     ids = batch.column("id").to_numpy()
@@ -777,16 +779,12 @@ def _explode_winnow(batch: pa.Table) -> pa.Table:
     if total_pairs == 0:
         return empty
     fps = flat[base : int(off[-1])].reshape(-1, 2)[:, 0]
-    counts = ((off[1:] - off[:-1]) // 2).astype(np.int64)
-    row = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
-    order = np.lexsort((fps, row))
-    fps_s, row_s = fps[order], row[order]
-    keep = np.ones(len(fps_s), dtype=bool)
-    keep[1:] = (fps_s[1:] != fps_s[:-1]) | (row_s[1:] != row_s[:-1])
+    fp_off = np.concatenate([[0], np.cumsum((off[1:] - off[:-1]) // 2)])
+    uniq, uniq_off = segment_unique(fps, fp_off)
     return pa.table(
         {
-            "fp": pa.array(fps_s[keep], type=pa.uint64()),
-            "id": pa.array(ids[row_s[keep]], type=pa.int64()),
+            "fp": pa.array(uniq, type=pa.uint64()),
+            "id": pa.array(np.repeat(ids, np.diff(uniq_off)), type=pa.int64()),
         }
     )
 
@@ -1008,13 +1006,15 @@ def containment_pairs(
         right_on=("id",),
         right_suffix="_a",
     )
-    j1 = j1.map_batches(
+    # a join output has a block per partition, rows or not: the second
+    # join needs them dropped (see nonempty_blocks)
+    j1 = nonempty_blocks(j1.map_batches(
         lambda b: pa.table(
             {"src": b.column("src"), "dst": b.column("dst"),
              "content_a": b.column("content")}
         ),
         batch_format="pyarrow",
-    )
+    ))
     j2 = j1.join(
         contents,
         "inner",

@@ -10,37 +10,39 @@ from __future__ import annotations
 
 import numpy as np
 
+from .shingle import row_blocks
+
 U64 = np.uint64
+# bit positions of the 8 bits of each little-endian hash byte
+_SHIFTS = np.arange(64, dtype=np.uint64).reshape(8, 1, 8)
 
 
 def simhash_signatures(flat_shingles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """(n_rows,) uint64 fingerprints; empty rows get 0.
 
     Bit i of the fingerprint is set iff a majority of the row's shingle
-    hashes have bit i set (±1-vote formulation: 2·ones > count). One
-    little-endian byte of the hash is expanded at a time with
-    ``np.unpackbits`` (a single C pass — measured 2.7× faster than the
-    previous 16-shift-and-mask chunk, which was itself ~7× faster than one
-    (total, 64) int32 vote matrix); vote sums accumulate in int64."""
+    hashes have bit i set (±1-vote formulation: 2·ones > count). Per row
+    block (shingle.row_blocks), one little-endian byte of the hash is
+    expanded at a time with ``np.unpackbits`` and its 8 bit columns are
+    summed per row with one ``reduceat``; the block's 8 passes stay in
+    cache. Vote sums accumulate in int64."""
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(offsets) - 1
-    lens = np.diff(offsets)
     out = np.zeros(n, dtype=np.uint64)
-    nonempty = lens > 0
-    if not nonempty.any():
-        return out
     flat = np.ascontiguousarray(flat_shingles, dtype=np.uint64)
-    starts = offsets[:-1][nonempty]
-    counts = lens[nonempty].astype(np.int64)
     u8 = flat.view(np.uint8).reshape(-1, 8)  # little-endian: byte j = bits 8j..8j+7
-    fp = np.zeros(int(nonempty.sum()), dtype=np.uint64)
-    for j in range(8):
-        bits = np.unpackbits(u8[:, j], bitorder="little").reshape(-1, 8)
-        sums = np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
-        fpb = (2 * sums > counts[:, None]).astype(np.uint64)
-        shifts = np.arange(8 * j, 8 * j + 8, dtype=np.uint64)
-        fp |= (fpb << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-    out[nonempty] = fp
+    lens = np.diff(offsets)
+    for rows in row_blocks(offsets, np.flatnonzero(lens > 0)):
+        e0, e1 = offsets[rows[0]], offsets[rows[-1] + 1]
+        starts = offsets[rows] - e0
+        counts = lens[rows][:, None]
+        fp = np.zeros(len(rows), dtype=np.uint64)
+        for j in range(8):
+            bits = np.unpackbits(u8[e0:e1, j], bitorder="little").reshape(-1, 8)
+            sums = np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
+            fpb = (2 * sums > counts).astype(np.uint64)
+            fp |= (fpb << _SHIFTS[j]).sum(axis=1, dtype=np.uint64)
+        out[rows] = fp
     return out
 
 

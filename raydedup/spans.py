@@ -56,7 +56,7 @@ import pyarrow.compute as pc
 
 from .config import DEFAULT_CONFIG, SigConfig
 from .shingle import shingle_hashes
-from .tokenize import _ASCII_WS, _WS, tokenize_hashes
+from .tokenize import _ASCII_WS, split_tokens, tokenize_hashes
 
 DEFAULT_WINDOW = 20
 
@@ -180,7 +180,7 @@ def _split_tokens(content) -> tuple[pa.Array, pa.Array, np.ndarray]:
     if isinstance(content, pa.ChunkedArray):
         content = content.combine_chunks()
     trimmed = pc.utf8_trim(pc.fill_null(content, ""), _ASCII_WS)
-    toks = pc.split_pattern_regex(trimmed, _WS)
+    toks = split_tokens(trimmed)
     toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
     per_row = pc.list_value_length(toks).to_numpy().astype(np.int64)
     return toks, toks.flatten(), per_row

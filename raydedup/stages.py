@@ -41,7 +41,7 @@ from .hashing import splitmix64
 from .kmv import MAX_THETA
 from .lsh import band_hashes, make_band_key
 from .minhash import minhash_signatures
-from .shingle import segment_unique, shingle_hashes
+from .shingle import BLOCK_ELEMS, _intra_offsets, segment_unique, shingle_hashes
 from .simhash import simhash_signatures
 from .tokenize import tokenize_hashes
 from .winnow import winnow_fingerprints
@@ -151,7 +151,7 @@ def _kmv_blobs(
         thetas[over] = flat_sorted[starts[over] + k]
     # gather the kept prefix of each segment
     out_off = np.concatenate([[0], np.cumsum(keep_lens)]).astype(np.int64)
-    idx = np.repeat(starts, keep_lens) + _intra(keep_lens)
+    idx = np.repeat(starts, keep_lens) + _intra_offsets(keep_lens)
     if hash_bytes == 4:
         kept = (flat_sorted[idx] >> U64(32)).astype("<u4")
         # distinct 64-bit values can truncate to the same 32-bit cell; the
@@ -171,14 +171,6 @@ def _kmv_blobs(
         kept = flat_sorted[idx].astype("<u8")
         blobs = _binary_from_segments(kept.view(np.uint8), out_off * 8)
     return blobs, thetas, lens
-
-
-def _intra(counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    seg_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.arange(total, dtype=np.int64) - np.repeat(seg_starts, counts)
 
 
 def _segments_binary(flat: np.ndarray, offsets: np.ndarray, width: int) -> pa.Array:
@@ -418,7 +410,7 @@ def bucket_pairs(
     # (a, b, first) index the deduped rows; capped pairs come first
     bs, bc = starts[big], counts[big] - 1
     out_a = [np.repeat(bs, bc)]
-    out_b = [np.repeat(bs + 1, bc) + _intra(bc)]
+    out_b = [np.repeat(bs + 1, bc) + _intra_offsets(bc)]
     out_first = [out_a[0]]
     ss, sc = starts[~big], counts[~big]
     for m in np.unique(sc):
@@ -441,6 +433,7 @@ def bucket_pairs(
 
 #: candidate pairs per slice of the near emitter's owner-band pass
 _PAIR_SLICE = 1 << 16
+_PAD = np.uint64(0xFFFFFFFFFFFFFFFF)  # kmv_jaccard_many's filler cell
 
 
 def make_block_pair_emitter(
@@ -459,7 +452,7 @@ def make_block_pair_emitter(
       in which the two docs co-bucket (same band hash and, for a hot
       key, the same salt slot), so no dedup shuffle is needed. Delegate
       buckets (band_idx 255) and capped buckets skip the rule.
-    * verify (bucket layouts): one :func:`kmv_jaccard_many` merge over
+    * verify (bucket layouts): one :func:`kmv_jaccard_many` call over
       all pairs, cut at ``cfg.verify_threshold``.
 
     ``cross_min_id``: incremental-dedup filter — base×base pairs (both
@@ -599,49 +592,48 @@ def kmv_jaccard_many(
     theta_b: np.ndarray,
     k: int,
 ) -> np.ndarray:
-    """Vectorized theta-Jaccard for a BLOCK of pairs — one merge pass over
-    all pairs' sketch cells instead of a python call (+ np.union1d on tiny
-    arrays) per pair.
+    """Vectorized theta-Jaccard for a BLOCK of pairs — no python call (+
+    np.union1d on tiny arrays) per pair.
 
     Each pair p reads sorted-unique cells ``flat_a[start_a[p]:end_a[p]]``
     and ``flat_b[start_b[p]:end_b[p]]``. Semantics are exactly
     :func:`_kmv_jaccard_fast`: min-theta filter, cap at the k smallest
-    merged values, |A∩B| / |A∪B| over the capped merged set."""
+    merged values, |A∩B| / |A∪B| over the capped merged set.
+
+    A pair's two sketches are one ``2W``-cell row (W = the longest sketch),
+    with every cell at or above the pair's theta, and the padding, set to
+    the uint64 maximum; each row is sorted on its own. A cell equal to its
+    left neighbour is in both sketches; the others are the merged set,
+    ranked by a running count. Rows go in slices of about BLOCK_ELEMS
+    cells, so the temporaries stay cache-sized whatever the pair count."""
     P = len(start_a)
-    if P == 0:
-        return np.zeros(0, dtype=np.float64)
+    out = np.zeros(P, dtype=np.float64)
     la = (end_a - start_a).astype(np.int64)
     lb = (end_b - start_b).astype(np.int64)
-    idx_a = np.repeat(start_a, la) + _intra(la)
-    idx_b = np.repeat(start_b, lb) + _intra(lb)
-    pair_ids = np.arange(P, dtype=np.int64)
-    vals = np.concatenate(
-        [
-            flat_a[idx_a].astype(np.uint64, copy=False),
-            flat_b[idx_b].astype(np.uint64, copy=False),
-        ]
-    )
-    pair = np.concatenate([np.repeat(pair_ids, la), np.repeat(pair_ids, lb)])
+    W = int(max(la.max(), lb.max())) if P else 0
+    if W == 0:
+        return out
     theta = np.minimum(
         np.asarray(theta_a, dtype=np.uint64), np.asarray(theta_b, dtype=np.uint64)
     )
-    keep = vals < theta[pair]
-    vals, pair = vals[keep], pair[keep]
-    if len(vals) == 0:
-        return np.zeros(P, dtype=np.float64)
-    order = np.lexsort((vals, pair))
-    pv, pp = vals[order], pair[order]
-    new_pair = np.concatenate([[True], pp[1:] != pp[:-1]])
-    uniq = new_pair | np.concatenate([[True], pv[1:] != pv[:-1]])
-    dup = ~uniq  # same pair + same value → present on both sides
-    u = np.cumsum(uniq)
-    first_idx = np.flatnonzero(new_pair)
-    base = u[first_idx] - 1
-    seg_id = np.cumsum(new_pair) - 1
-    rank = u - 1 - base[seg_id]  # 0-based rank within the pair's merged set
-    in_cap = rank < k
-    merged_cnt = np.bincount(pp[uniq & in_cap], minlength=P)
-    inter_cnt = np.bincount(pp[dup & in_cap], minlength=P)
-    return np.where(
-        merged_cnt > 0, inter_cnt / np.maximum(merged_cnt, 1), 0.0
-    ).astype(np.float64)
+    cols = np.arange(W)
+    step = max(1, BLOCK_ELEMS // (2 * W))
+    for i in range(0, P, step):
+        sl = slice(i, i + step)
+        mat = np.full((len(theta[sl]), 2 * W), _PAD, dtype=np.uint64)
+        for half, flat, start, lens in (
+            (mat[:, :W], flat_a, start_a, la), (mat[:, W:], flat_b, start_b, lb)
+        ):
+            m = cols < lens[sl, None]
+            half[m] = flat[(start[sl, None] + cols)[m]]
+        mat[mat >= theta[sl, None]] = _PAD
+        mat.sort(axis=1)
+        valid = mat != _PAD
+        dup = np.zeros_like(valid)
+        dup[:, 1:] = valid[:, 1:] & (mat[:, 1:] == mat[:, :-1])
+        uniq = valid & ~dup
+        in_cap = np.cumsum(uniq, axis=1) <= k
+        merged = np.count_nonzero(uniq & in_cap, axis=1)
+        inter = np.count_nonzero(dup & in_cap, axis=1)
+        out[sl] = np.where(merged > 0, inter / np.maximum(merged, 1), 0.0)
+    return out

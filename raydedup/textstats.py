@@ -13,14 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .hashing import xxh64_flat
-from .tokenize import _string_array_np, tokenize_hashes
-
-# Trim exactly this ASCII whitespace set on both sides of every SQL-oracled
-# text operator. DuckDB's trim() strips only spaces and Arrow's
-# utf8_trim_whitespace strips all Unicode whitespace — using an explicit
-# shared character set (mirrored in the oracles as
-# trim(text, ' ' || chr(9) || ...)) makes the match exact by construction.
-_ASCII_WS = " \t\n\r\v\f"
+from .tokenize import _ASCII_WS, _string_array_np, split_tokens, tokenize_hashes
 
 # Character-trigram language profiles, expanded deterministically from the
 # per-language common-word lists in raydedup/langdata.py (27 languages).
@@ -93,7 +86,7 @@ def text_stats(batch: pa.Table, text_col: str = "text") -> pa.Table:
     text = pc.fill_null(text, "")
     n_chars = pc.utf8_length(text)
     trimmed = pc.utf8_trim(text, _ASCII_WS)
-    toks = pc.split_pattern_regex(trimmed, r"\s+")
+    toks = split_tokens(trimmed)
     # split('') yields [''] — empty/whitespace-only rows have zero tokens
     n_tokens = pc.if_else(
         pc.equal(trimmed, ""), pa.scalar(0, pa.int32()), pc.list_value_length(toks)
@@ -309,7 +302,7 @@ def token_counts(batch: pa.Table, text_col: str = "text") -> pa.Table:
     ws = pc.if_else(
         pc.equal(trimmed, ""),
         pa.scalar(0, pa.int32()),
-        pc.list_value_length(pc.split_pattern_regex(trimmed, r"\s+")),
+        pc.list_value_length(split_tokens(trimmed)),
     )
     bpe = pc.count_substring_regex(text, BPE_TOKEN_PATTERN)
     cols = {name: batch.column(name) for name in batch.column_names if name != text_col}

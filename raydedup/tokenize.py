@@ -1,7 +1,7 @@
 """Tokenization of content columns → per-row token-hash arrays, vectorized.
 
 Strategy (hot path, no per-row python):
-  1. ``pc.split_pattern_regex`` on whitespace runs → Arrow ``ListArray`` of
+  1. :func:`split_tokens` on whitespace runs → Arrow ``ListArray`` of
      tokens (one C-level pass).
   2. ``pc.dictionary_encode`` the flat token child array → (indices, dict).
   3. xxHash64 the *unique* dictionary strings only (vectorized over the
@@ -22,7 +22,12 @@ import pyarrow.compute as pc
 from .hashing import xxh64_flat
 
 _WS = r"\s+"
-# explicit ASCII whitespace, mirrored verbatim in every dedup-tier oracle SQL
+_VT = 0x0B  # \v: whitespace to Arrow's ASCII split, not to RE2's \s
+# Every SQL-oracled text operator trims exactly this ASCII whitespace set on
+# both sides. DuckDB's trim() strips only spaces and Arrow's
+# utf8_trim_whitespace strips all Unicode whitespace; the explicit set
+# (mirrored in the oracles as trim(text, ' ' || chr(9) || ...)) makes the
+# match exact by construction.
 _ASCII_WS = " \t\n\r\v\f"
 
 
@@ -35,6 +40,21 @@ def _string_array_np(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     offsets = offsets[arr.offset : arr.offset + len(arr) + 1]
     data = np.frombuffer(buffers[2], dtype=np.uint8) if buffers[2] is not None else np.zeros(0, np.uint8)
     return data, offsets
+
+
+def split_tokens(trimmed: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
+    """Split each string on runs of RE2 ``\\s`` (``[\\t\\n\\f\\r ]``) — the
+    repo-wide token rule, mirrored by the oracle SQL.
+
+    ``pc.ascii_split_whitespace`` splits on the same bytes plus ``\\v``
+    and is several times faster than the regex split, so it runs unless a
+    ``\\v`` byte is present."""
+    chunks = trimmed.chunks if isinstance(trimmed, pa.ChunkedArray) else [trimmed]
+    for arr in chunks:
+        data = arr.buffers()[2]
+        if data is not None and (np.frombuffer(data, dtype=np.uint8) == _VT).any():
+            return pc.split_pattern_regex(trimmed, _WS)
+    return pc.ascii_split_whitespace(trimmed)
 
 
 def tokenize_hashes(
@@ -54,7 +74,7 @@ def tokenize_hashes(
     # by construction (utf8_trim_whitespace strips Unicode WS like U+00A0,
     # which the oracle's trim() keeps — same parity rule as textstats.py).
     trimmed = pc.utf8_trim(content, _ASCII_WS)
-    toks = pc.split_pattern_regex(trimmed, _WS)
+    toks = split_tokens(trimmed)
     toks = toks.combine_chunks() if isinstance(toks, pa.ChunkedArray) else toks
     offsets = np.asarray(toks.offsets, dtype=np.int64)
     values = toks.values  # flat StringArray of all tokens

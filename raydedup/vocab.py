@@ -32,8 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .hashing import xxh64_flat
-from .textstats import _ASCII_WS
-from .tokenize import _string_array_np
+from .tokenize import _ASCII_WS, _string_array_np, split_tokens
 
 _TOK_SEED = 0
 
@@ -46,7 +45,7 @@ def _ws_tokens(text_col) -> tuple[pa.StringArray, np.ndarray]:
     if isinstance(text_col, pa.ChunkedArray):
         text_col = text_col.combine_chunks()
     trimmed = pc.utf8_trim(pc.fill_null(text_col, ""), _ASCII_WS)
-    toks = pc.split_pattern_regex(trimmed, r"\s+")
+    toks = split_tokens(trimmed)
     if isinstance(toks, pa.ChunkedArray):
         toks = toks.combine_chunks()
     per_row = pc.list_value_length(toks).to_numpy().astype(np.int64)

@@ -12,11 +12,9 @@ verification happens in the actor-pool stage (suffix.py).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .hashing import poly_rolling_hashes
-
-U64 = np.uint64
+from .shingle import _intra_offsets, row_blocks
 
 # the O(T) rolling gram hash lives in hashing.poly_rolling_hashes (shared
 # with the shingle tier); kept under the local name the tests lock
@@ -34,96 +32,65 @@ def winnow_fingerprints(
 
     Returns ``(fp_hashes: uint64[], fp_positions: uint64[], fp_offsets)``
     where row i's fingerprints are the slice ``fp_offsets[i]:fp_offsets[i+1]``
-    (position = gram start token index within the row).
+    (position = gram start token index within the row), in position order.
 
-    Rows with fewer than k tokens produce no fingerprints (nothing to
-    substring-match at length >= t).
+    A row of g >= w grams has g - w + 1 windows of w grams; a row of
+    1 <= g < w grams has one window of all of them. Rows with fewer than k
+    tokens produce no fingerprints (nothing to substring-match at length
+    >= t). Rows are processed in blocks (shingle.row_blocks); a window's
+    pick is non-decreasing as it slides, so repeats are adjacent.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(offsets) - 1
     lens = np.diff(offsets)
-    total = int(offsets[-1])
-
-    if total < k:
-        z = np.zeros(0, dtype=np.uint64)
-        return z, z, np.zeros(n + 1, dtype=np.int64)
-
-    # gram hashes on the flat token array (cross-row windows masked out)
-    grams_all = _gram_hashes(np.ascontiguousarray(flat_tokens, dtype=np.uint64), k, seed)
-    starts = np.arange(total - k + 1)
-    row_of = np.searchsorted(offsets, starts, side="right") - 1
-    valid_gram = starts + k <= offsets[row_of + 1]
-
-    # winnow windows over grams, again on the flat array with row masking
-    fp_h: list[np.ndarray] = []
-    fp_p: list[np.ndarray] = []
-
-    # per-row gram segment boundaries
+    flat = np.ascontiguousarray(flat_tokens, dtype=np.uint64)
     gram_counts = np.where(lens >= k, lens - k + 1, 0)
-    gram_off = np.concatenate([[0], np.cumsum(gram_counts)])
-    grams = grams_all[valid_gram]
-    pos_in_row = starts[valid_gram] - offsets[row_of[valid_gram]]
-
-    if len(grams) == 0:
-        z = np.zeros(0, dtype=np.uint64)
-        return z, z, np.zeros(n + 1, dtype=np.int64)
-
-    # windows across the compacted gram array; mask cross-row windows
-    m = len(grams)
-    if m >= w:
-        win = sliding_window_view(grams, w)  # (m-w+1, w)
-        wstarts = np.arange(m - w + 1)
-        wrow = np.searchsorted(gram_off, wstarts, side="right") - 1
-        wvalid = wstarts + w <= gram_off[wrow + 1]
-        # rightmost-min via reversed argmin
-        rev = win[:, ::-1]
-        amin = w - 1 - np.argmin(rev, axis=1)
-        sel = wstarts + amin  # flat gram index selected per window
-        sel = sel[wvalid]
-        sel_rows = wrow[wvalid]
-        # dedupe repeated selections per row
-        key = sel.astype(np.int64)
-        if len(sel) > 1:
-            order = np.lexsort((key, sel_rows))
-            ks, rs = key[order], sel_rows[order]
-            um = np.empty(len(ks), dtype=bool)
-            um[0] = True
-            um[1:] = (ks[1:] != ks[:-1]) | (rs[1:] != rs[:-1])
-            sel = ks[um]
-            sel_rows = rs[um]
-        else:
-            sel, sel_rows = key, sel_rows
+    fp_counts = np.zeros(n, dtype=np.int64)
+    fp_h: list[np.ndarray] = [np.zeros(0, dtype=np.uint64)]
+    fp_p: list[np.ndarray] = [np.zeros(0, dtype=np.uint64)]
+    for rows in row_blocks(offsets, np.flatnonzero(gram_counts)):
+        e0 = offsets[rows[0]]
+        grams_all = _gram_hashes(flat[e0 : offsets[rows[-1] + 1]], k, seed)
+        g = gram_counts[rows]
+        grams = grams_all[np.repeat(offsets[rows] - e0, g) + _intra_offsets(g)]
+        gram_start = np.concatenate([[0], np.cumsum(g)[:-1]])
+        nw = np.maximum(g - w + 1, 1)
+        sel = _rightmost_min(
+            grams,
+            np.repeat(gram_start, nw) + _intra_offsets(nw),
+            np.repeat(np.minimum(g, w), nw),
+        )
+        keep = np.ones(len(sel), dtype=bool)
+        keep[1:] = sel[1:] != sel[:-1]
+        cnt = np.add.reduceat(keep, np.cumsum(nw) - nw, dtype=np.int64)
+        sel = sel[keep]
+        fp_counts[rows] = cnt
         fp_h.append(grams[sel])
-        fp_p.append(pos_in_row[sel].astype(np.uint64))
-        handled = gram_counts >= w
-    else:
-        handled = np.zeros(n, dtype=bool)
+        fp_p.append((sel - np.repeat(gram_start, cnt)).astype(np.uint64))
+    fp_offsets = np.concatenate([[0], np.cumsum(fp_counts)]).astype(np.int64)
+    return np.concatenate(fp_h), np.concatenate(fp_p), fp_offsets
 
-    # rows with 1 <= gram_count < w: single min fingerprint
-    short = np.flatnonzero((gram_counts > 0) & ~handled & (gram_counts < w))
-    for r in short:
-        seg = grams[gram_off[r] : gram_off[r + 1]]
-        amin = int(len(seg) - 1 - np.argmin(seg[::-1]))
-        fp_h.append(seg[amin : amin + 1])
-        fp_p.append(pos_in_row[gram_off[r] + amin : gram_off[r] + amin + 1].astype(np.uint64))
 
-    if not fp_h:
-        z = np.zeros(0, dtype=np.uint64)
-        return z, z, np.zeros(n + 1, dtype=np.int64)
+def _rightmost_min(v: np.ndarray, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Index of the rightmost minimum of ``v[s : s + width]`` per window.
 
-    # assemble in row order: block 0 is the vectorized path, then short rows
-    row_ids = []
-    if m >= w and len(fp_h[0]):
-        row_ids.append(sel_rows)
-    for r in short:
-        row_ids.append(np.array([r], dtype=np.int64))
-    all_h = np.concatenate(fp_h)
-    all_p = np.concatenate(fp_p)
-    all_r = np.concatenate(row_ids)
-
-    order = np.lexsort((all_p, all_r))
-    all_h, all_p, all_r = all_h[order], all_p[order], all_r[order]
-    fp_offsets = np.concatenate([[0], np.cumsum(np.bincount(all_r, minlength=n))]).astype(
-        np.int64
-    )
-    return all_h, all_p, fp_offsets
+    Doubling passes over (value, index): level j holds the rightmost
+    minimum of every run of 2^j values, from two runs of level j - 1 with
+    the right one winning ties. A window of width x reads level
+    floor(log2 x) at its two (possibly overlapping) ends, again right on
+    ties."""
+    vals, idx = [v], [np.arange(len(v), dtype=np.int64)]
+    while 2 << (len(vals) - 1) <= widths.max():
+        h = 1 << (len(vals) - 1)
+        take_r = vals[-1][h:] <= vals[-1][:-h]
+        vals.append(np.where(take_r, vals[-1][h:], vals[-1][:-h]))
+        idx.append(np.where(take_r, idx[-1][h:], idx[-1][:-h]))
+    level = np.log2(widths).astype(np.int64)
+    out = np.empty(len(starts), dtype=np.int64)
+    for j in np.unique(level):
+        at = np.flatnonzero(level == j)
+        s = starts[at]
+        r = s + widths[at] - (1 << j)
+        take_r = vals[j][r] <= vals[j][s]
+        out[at] = np.where(take_r, idx[j][r], idx[j][s])
+    return out

@@ -332,3 +332,142 @@ def embedding_block_pairs_loop(threshold, n_tables, max_bucket):
         )
 
     return verify
+
+
+# ---------------------------------------------------------------------------
+# Whole-batch sort kernels: the references for the per-row kernels of the
+# signature stage and the near tier's verify. Each is the engine's earlier
+# implementation (one lexsort, or one argmin over a strided window view,
+# over the whole batch); the tests assert the row kernels give the same
+# arrays, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _intra(counts):
+    import numpy as np
+
+    seg_starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(seg_starts, counts)
+
+
+def segment_unique_lexsort(flat, offsets):
+    """Reference for shingle.segment_unique: one (value, row) lexsort."""
+    import numpy as np
+
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = len(offsets) - 1
+    row_ids = np.repeat(np.arange(n), np.diff(offsets))
+    order = np.lexsort((flat, row_ids))
+    sf, sr = flat[order], row_ids[order]
+    if len(sf):
+        keep = np.empty(len(sf), dtype=bool)
+        keep[0] = True
+        keep[1:] = (sf[1:] != sf[:-1]) | (sr[1:] != sr[:-1])
+        sf, sr = sf[keep], sr[keep]
+    counts = np.bincount(sr, minlength=n)
+    return sf, np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
+def kmv_jaccard_many_lexsort(
+    flat_a, start_a, end_a, theta_a, flat_b, start_b, end_b, theta_b, k
+):
+    """Reference for stages.kmv_jaccard_many: one (value, pair) lexsort
+    over every retained cell of both sketches of every pair."""
+    import numpy as np
+
+    P = len(start_a)
+    if P == 0:
+        return np.zeros(0, dtype=np.float64)
+    la = (end_a - start_a).astype(np.int64)
+    lb = (end_b - start_b).astype(np.int64)
+    idx_a = np.repeat(start_a, la) + _intra(la)
+    idx_b = np.repeat(start_b, lb) + _intra(lb)
+    pair_ids = np.arange(P, dtype=np.int64)
+    vals = np.concatenate(
+        [flat_a[idx_a].astype(np.uint64), flat_b[idx_b].astype(np.uint64)]
+    )
+    pair = np.concatenate([np.repeat(pair_ids, la), np.repeat(pair_ids, lb)])
+    theta = np.minimum(
+        np.asarray(theta_a, dtype=np.uint64), np.asarray(theta_b, dtype=np.uint64)
+    )
+    keep = vals < theta[pair]
+    vals, pair = vals[keep], pair[keep]
+    if len(vals) == 0:
+        return np.zeros(P, dtype=np.float64)
+    order = np.lexsort((vals, pair))
+    pv, pp = vals[order], pair[order]
+    new_pair = np.concatenate([[True], pp[1:] != pp[:-1]])
+    uniq = new_pair | np.concatenate([[True], pv[1:] != pv[:-1]])
+    dup = ~uniq
+    u = np.cumsum(uniq)
+    base = u[np.flatnonzero(new_pair)] - 1
+    rank = u - 1 - base[np.cumsum(new_pair) - 1]
+    in_cap = rank < k
+    merged_cnt = np.bincount(pp[uniq & in_cap], minlength=P)
+    inter_cnt = np.bincount(pp[dup & in_cap], minlength=P)
+    return np.where(
+        merged_cnt > 0, inter_cnt / np.maximum(merged_cnt, 1), 0.0
+    ).astype(np.float64)
+
+
+def winnow_fingerprints_argmin(flat_tokens, offsets, k, w, seed):
+    """Reference for winnow.winnow_fingerprints: rightmost minimum of every
+    window by argmin over a reversed (windows, w) strided view, a per-row
+    loop for rows with fewer than w grams, and two lexsorts."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from raydedup.hashing import poly_rolling_hashes
+
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = len(offsets) - 1
+    lens = np.diff(offsets)
+    total = int(offsets[-1])
+    z = np.zeros(0, dtype=np.uint64)
+    if total < k:
+        return z, z, np.zeros(n + 1, dtype=np.int64)
+    grams_all = poly_rolling_hashes(flat_tokens, k, seed)
+    starts = np.arange(total - k + 1)
+    row_of = np.searchsorted(offsets, starts, side="right") - 1
+    valid_gram = starts + k <= offsets[row_of + 1]
+    gram_counts = np.where(lens >= k, lens - k + 1, 0)
+    gram_off = np.concatenate([[0], np.cumsum(gram_counts)])
+    grams = grams_all[valid_gram]
+    pos_in_row = starts[valid_gram] - offsets[row_of[valid_gram]]
+    if len(grams) == 0:
+        return z, z, np.zeros(n + 1, dtype=np.int64)
+    fp_h, fp_p, row_ids = [], [], []
+    m = len(grams)
+    if m >= w:
+        win = sliding_window_view(grams, w)
+        wstarts = np.arange(m - w + 1)
+        wrow = np.searchsorted(gram_off, wstarts, side="right") - 1
+        wvalid = wstarts + w <= gram_off[wrow + 1]
+        sel = (wstarts + w - 1 - np.argmin(win[:, ::-1], axis=1))[wvalid]
+        sel_rows = wrow[wvalid]
+        if len(sel) > 1:
+            order = np.lexsort((sel, sel_rows))
+            ks, rs = sel[order], sel_rows[order]
+            um = np.concatenate([[True], (ks[1:] != ks[:-1]) | (rs[1:] != rs[:-1])])
+            sel, sel_rows = ks[um], rs[um]
+        fp_h.append(grams[sel])
+        fp_p.append(pos_in_row[sel].astype(np.uint64))
+        row_ids.append(sel_rows)
+    for r in np.flatnonzero((gram_counts > 0) & (gram_counts < w)):
+        seg = grams[gram_off[r] : gram_off[r + 1]]
+        amin = int(len(seg) - 1 - np.argmin(seg[::-1]))
+        fp_h.append(seg[amin : amin + 1])
+        fp_p.append(pos_in_row[gram_off[r] + amin : gram_off[r] + amin + 1].astype(np.uint64))
+        row_ids.append(np.array([r], dtype=np.int64))
+    all_h, all_p, all_r = (np.concatenate(x) for x in (fp_h, fp_p, row_ids))
+    order = np.lexsort((all_p, all_r))
+    all_h, all_p, all_r = all_h[order], all_p[order], all_r[order]
+    fp_offsets = np.concatenate([[0], np.cumsum(np.bincount(all_r, minlength=n))])
+    return all_h, all_p, fp_offsets.astype(np.int64)
+
+
+def split_tokens_regex(trimmed):
+    """Reference for tokenize.split_tokens: RE2 ``\\s+`` runs."""
+    import pyarrow.compute as pc
+
+    return pc.split_pattern_regex(trimmed, r"\s+")

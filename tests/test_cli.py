@@ -261,3 +261,35 @@ def test_cli_filter(tmp_path):
     )
     # shape-only is a superset of the full filter's survivors
     assert out2["survivors"] >= out["survivors"]
+
+
+def test_cli_runs_outside_the_repo_root(tmp_path):
+    """A launcher that finds the package by a ``sys.path`` entry (no
+    PYTHONPATH, working directory elsewhere) still runs a dedup job: the
+    CLI hands the package's root to the Ray workers it starts."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    corpus = str(tmp_path / "corpus.parquet")
+    docs = [" ".join(f"w{(i * 7 + j) % 50}" for j in range(30)) for i in range(6)]
+    pq.write_table(
+        pa.table({"id": pa.array(range(12), pa.int64()), "content": docs * 2}),
+        corpus,
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    launcher = (
+        "import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+        "runpy.run_module('raydedup', run_name='__main__', alter_sys=True)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, root, "dedup", corpus,
+         "--out", str(tmp_path / "out"), "--num-cpus", "2"],
+        cwd=str(tmp_path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**env, "RAY_DEDUP_LOGS": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["rows"] == 12

@@ -226,6 +226,28 @@ def test_containment_actor_stage(ray_session):
     assert got == want
 
 
+@pytest.mark.parametrize("base", [0, 3])
+def test_containment_survives_an_empty_first_join_block(ray_session, base):
+    """One contained pair over two join partitions: the first join's
+    output has a 0-row block (first for these ids), which must not reach
+    the second join — Ray skips the schema broadcast for an empty first
+    block and the partitions without rows then fail the join."""
+    import ray.data
+
+    from raydedup.pipeline import containment_pairs
+
+    big = " ".join(f"tok{i}" for i in range(40))
+    small = " ".join(f"tok{i}" for i in range(10, 30))
+    tbl = pa.table({
+        "id": pa.array([base, base + 1, base + 2], pa.int64()),
+        "content": [small, big, "unrelated words here only"],
+    })
+    out = containment_pairs(
+        ray.data.from_arrow(tbl), CFG, num_partitions=2, concurrency=1
+    ).to_pandas()
+    assert list(zip(out["src"], out["dst"])) == [(base, base + 1)]
+
+
 def test_theta_aggregate_groupby(ray_session):
     import ray.data
 
