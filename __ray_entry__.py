@@ -1716,20 +1716,22 @@ def _q_top_dup_repos(sf_dir: str):
     count of secondary dim → rank)."""
     from raydedup.njaccard import ngram_jaccard_pairs
 
-    from raydedup.pipeline import join_partitions
+    from raydedup.pipeline import join_partitions, nonempty_blocks
 
-    nparts = join_partitions(8)
+    nparts = join_partitions(8, joins=2)
     pairs = ngram_jaccard_pairs(_corpus_ds(sf_dir), _cfg(), threshold=0.7)
     corpus = _corpus_ds(sf_dir).select_columns(["id", "repo"])
     j1 = pairs.select_columns(["src", "dst"]).join(
         corpus, "inner", num_partitions=nparts, on=("src",), right_on=("id",)
     )
-    j1 = j1.map_batches(
+    # a join output has a block per partition, rows or not: the second
+    # join needs them dropped (see nonempty_blocks)
+    j1 = nonempty_blocks(j1.map_batches(
         lambda b: pa.table(
             {"dst": b.column("dst"), "repo_a": b.column("repo")}
         ),
         batch_format="pyarrow",
-    )
+    ))
     j2 = j1.join(corpus, "inner", num_partitions=nparts, on=("dst",), right_on=("id",))
     both = j2.map_batches(
         lambda b: pa.table(

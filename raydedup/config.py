@@ -59,8 +59,10 @@ class SigConfig:
     # bumped whenever a signature ALGORITHM changes (not just its params),
     # so persisted checkpoints built by older code can never silently mix
     # with new shards (fingerprint covers every field). v2: winnow gram
-    # hash switched from per-window xxh64 to the O(T) rolling polynomial
-    algo_version: int = 2
+    # hash switched from per-window xxh64 to the O(T) rolling polynomial.
+    # v3: the table stores ``bandhashes``, not the MinHash matrix (a v2
+    # table lacks the column the near tier reads)
+    algo_version: int = 3
 
     def __post_init__(self) -> None:
         if self.bands * self.rows_per_band != self.num_perm:

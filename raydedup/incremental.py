@@ -5,13 +5,13 @@ The training-pipeline shape this serves: a 100 TB corpus is deduped once;
 daily deltas arrive and must be (a) matched against the base, (b) deduped
 among themselves, (c) assigned to existing clusters — re-running the full
 O(corpus) pipeline per delta is wasteful. Here the base contributes only
-its persisted SIGNATURE INDEX (the `signatures()` output — ~1 KB/doc, no
-content) and its assignment table; the delta pays signature computation
-plus ONE band shuffle over base-index + delta rows. No base×base pair is
-ever built, let alone verified (``cross_min_id`` of
-stages.bucket_pairs): a bucket without a delta member is dropped before
-its pairs are formed, and the base×base pairs of the other buckets are
-dropped before the sketch verification.
+its persisted SIGNATURE INDEX (the `signatures()` output, no content:
+1.8-2.4 KB/doc on the perfbench inputs) and its assignment table; the
+delta pays signature computation plus ONE band shuffle over base-index +
+delta rows. No base×base pair is ever built, let alone verified
+(``cross_min_id`` of stages.bucket_pairs): a bucket without a delta member
+is dropped before its pairs are formed, and the base×base pairs of the
+other buckets are dropped before the sketch verification.
 
 Id contract: delta rows carry ids strictly greater than every base id
 (append-only id space — the natural layout for arriving data). The

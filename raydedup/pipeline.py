@@ -4,7 +4,7 @@ Dataflow (all lazy Ray Data; one materialize at the signature checkpoint):
 
   corpus(id, repo, path, commit, lang, content)
     │ map_batches(SignatureStage)           [stateless, pyarrow, content dropped]
-  sigs(id, …, sha256, minhash, kmv, simhash, winnow)
+  sigs(id, …, sha256, bandhashes, kmv, simhash, winnow)   [bandhashes: 136 B/row]
     ├─ groupby(sha256)                      → exact edges          (tier: exact)
     ├─ map_batches(hh partials) → driver merge → hot band keys     (skew pre-pass)
     ├─ map_batches(BandEmit[hot]) → groupby(band_key) → verified near edges
@@ -30,7 +30,7 @@ import ray.data
 
 from .config import DEFAULT_CONFIG, SigConfig
 from .hashing import splitmix64
-from .lsh import band_hashes, make_band_key
+from .lsh import make_band_key
 from .sketches.freq import FrequentKeysSketch
 from .stages import (
     BandEmitStage,
@@ -308,7 +308,7 @@ def detect_hot_band_keys(
             ids = batch.column("id").to_numpy().astype(np.int64).view(np.uint64)
             return batch.filter(pa.array(splitmix64(ids ^ np.uint64(0x5A17)) < thresh))
 
-        sigs = sigs.select_columns(["id", "minhash", "n_shingles"]).map_batches(
+        sigs = sigs.select_columns(["id", "bandhashes", "n_shingles"]).map_batches(
             keep_sample, batch_format="pyarrow"
         )
 
@@ -321,14 +321,11 @@ def detect_hot_band_keys(
         n = len(block)
         if n == 0:
             return sk.serialize()
-        mh_flat, _ = _binary_col_flat_u64(block.column("minhash"))
-        mh = mh_flat.reshape(n, cfg.num_perm)
-        nsh = block.column("n_shingles").to_numpy()
-        bh = band_hashes(mh, cfg.bands, cfg.rows_per_band, cfg.seed)
-        valid = nsh > 0
-        for b in range(cfg.bands):
-            keys = make_band_key(np.full(n, b, dtype=np.uint64), bh[:, b])[valid]
-            sk.update_many(keys.view(np.int64))
+        bh_flat, _ = _binary_col_flat_u64(block.column("bandhashes"))
+        keys = make_band_key(np.arange(cfg.bands), bh_flat.reshape(n, cfg.bands))
+        keys = keys[block.column("n_shingles").to_numpy() > 0]
+        for band_keys in keys.T:  # band by band: the sketch purges per update
+            sk.update_many(band_keys.view(np.int64))
         return sk.serialize()
 
     def mrg(a: bytes | None, b: bytes | None) -> bytes:
@@ -342,7 +339,7 @@ def detect_hot_band_keys(
             .serialize()
         )
 
-    res = sigs.select_columns(["minhash", "n_shingles"]).aggregate(
+    res = sigs.select_columns(["bandhashes", "n_shingles"]).aggregate(
         AggregateFn(
             init=lambda key: None,
             accumulate_block=acc,
@@ -433,7 +430,7 @@ def _banded(
                 == np.uint64(wave[0])
             )
         )
-    cols = ["id", "minhash", "n_shingles"]
+    cols = ["id", "bandhashes", "n_shingles"]
     if carry_kmv:
         cols += ["kmv_theta", "kmv"]
     band = sigs.select_columns(cols).map_batches(
@@ -642,7 +639,7 @@ def near_edges(
         The estimate is rows × the broadcast table's
         exact per-row footprint (id + theta + the kmv blob: 16 +
         kmv_k·hash_bytes — the hybrid broadcast carries ONLY these, not
-        minhash or band keys), computed from the materialized signature
+        band hashes or band keys), computed from the materialized signature
         table's count, so the decision costs no extra pass.
       'bucket' (default): one shuffle carrying sketches, block-vectorized
         in-bucket verify + owner-band uniqueness — fully distributed, no

@@ -12,7 +12,9 @@ Stage layout (SURVEY §3.2 engine trace):
 
 Design notes for 100 TB scale:
   * The signature stage reads ONLY (id, content, …) columns and drops
-    ``content`` on output — everything downstream ships ≤ ~2 KB/row.
+    ``content`` on output; banding is decided there, once: it keeps
+    ``bandhashes`` (136 B/row), not the MinHash matrix (1,032 B/row) —
+    1.8-2.4 KB/row on the perfbench inputs, ~1 KB of it the KMV sketch.
   * Every bucketed tier turns a hash-partition block into pairs with one
     kernel, :func:`bucket_pairs`: no Python loop per bucket, only one per
     distinct bucket size. The near tier applies the owner-band rule and
@@ -88,6 +90,7 @@ class SignatureStage:
         uniq, uniq_off = segment_unique(sh, sh_off)
 
         mh = minhash_signatures(sh, sh_off, cfg.num_perm, cfg.seed)
+        bh = band_hashes(mh, cfg.bands, cfg.rows_per_band, cfg.seed)
         sim = simhash_signatures(sh, sh_off)
 
         # per-row KMV sketch in the theta domain (h >> 1, drop 0) —
@@ -110,7 +113,7 @@ class SignatureStage:
         cols["n_tokens"] = pa.array(np.diff(tok_off).astype(np.int32))
         cols["n_shingles"] = pa.array(np.diff(uniq_off).astype(np.int32))
         cols["simhash"] = pa.array(sim.astype(np.uint64), type=pa.uint64())
-        cols["minhash"] = _matrix_binary(mh)
+        cols["bandhashes"] = _matrix_binary(bh)
         cols["kmv_theta"] = pa.array(thetas, type=pa.uint64())
         cols["kmv"] = kmv_blobs
         cols["winnow"] = _segments_binary(
@@ -238,19 +241,15 @@ class BandEmitStage:
         n = len(batch)
         if n == 0:
             return _empty_band_table(self.carry_kmv)
-        mh_flat, _ = _binary_col_flat_u64(batch.column("minhash"))
-        mh = mh_flat.reshape(n, cfg.num_perm)  # fixed-width cells, zero-copy
+        bh_col = batch.column("bandhashes")
+        bh_flat, _ = _binary_col_flat_u64(bh_col)
+        # fixed-width cells, zero-copy; one broadcast call keys every band
+        keys = make_band_key(np.arange(cfg.bands), bh_flat.reshape(n, cfg.bands))
         ids = batch.column("id").to_numpy()
         nsh = batch.column("n_shingles").to_numpy()
         kmv_theta = batch.column("kmv_theta") if self.carry_kmv else None
         kmv_col = batch.column("kmv") if self.carry_kmv else None
         del batch  # only sig-derived columns leave this stage
-        bh = band_hashes(mh, cfg.bands, cfg.rows_per_band, cfg.seed)
-        keys = np.empty((n, cfg.bands), dtype=np.uint64)
-        for b in range(cfg.bands):
-            keys[:, b] = make_band_key(
-                np.full(n, b, dtype=np.uint64), bh[:, b]
-            )
         valid = nsh > 0  # zero-shingle rows never band (sentinel sigs collide)
         nv = int(valid.sum())
         rep_ids = np.repeat(ids[valid], cfg.bands)
@@ -267,6 +266,7 @@ class BandEmitStage:
             band_idx = band_idx[in_wave]
             src_rows = src_rows[in_wave]
         flat_keys, salted = self._salt(orig_keys, rep_ids)
+        take = pa.array(src_rows)
         # every row carries the doc's band-hash vector (bands×8 B) so the
         # pair stage can assign each pair to its FIRST co-bucketed band —
         # exactly one bucket emits any given pair (no dedup shuffle needed)
@@ -276,10 +276,9 @@ class BandEmitStage:
             "salted": pa.array(salted, type=pa.bool_()),
             "band_idx": pa.array(band_idx, type=pa.uint8()),
             "id": pa.array(rep_ids, type=pa.int64()),
-            "bandhashes": _matrix_binary(bh[src_rows]),
+            "bandhashes": bh_col.take(take),
         }
         if self.carry_kmv:
-            take = pa.array(src_rows)
             cols["kmv_theta"] = kmv_theta.take(take)
             cols["kmv"] = kmv_col.take(take)
         return pa.table(cols)

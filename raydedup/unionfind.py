@@ -8,10 +8,10 @@ Two execution paths:
   ``DRIVER_EDGE_LIMIT`` threshold.
 * ``distributed`` — bounded-round hash-to-min label propagation expressed
   purely as Ray Data groupbys (no driver state): each round every node
-  announces min(label of self ∪ neighbors) to its neighborhood; converges in
-  O(log diameter) rounds (dup clusters have tiny diameters). Convergence is
-  detected with a per-round edge-checksum aggregate — the per-round manifest
-  the north_rule asks for.
+  announces min(label of self ∪ neighbors) to its neighborhood. A per-round
+  edge-checksum aggregate detects the fixed point; if ``max_rounds`` pass
+  without one (long chains need many rounds), it raises
+  ``SketchesStateError`` rather than return a split clustering.
 
 Cluster ids are the component-minimum node id — deterministic, matching the
 reference-oracle's assignment convention.
@@ -24,6 +24,8 @@ import pyarrow as pa
 
 import ray
 import ray.data
+
+from .config import SketchesStateError
 
 DRIVER_EDGE_LIMIT = 5_000_000
 
@@ -184,6 +186,8 @@ def _cluster_distributed(
         if sig == prev_checksum:
             break
         prev_checksum = sig
+    else:
+        raise SketchesStateError(f"no union-find fixed point in {max_rounds} rounds")
 
     def to_assignment(batch: pa.Table) -> pa.Table:
         return pa.table(

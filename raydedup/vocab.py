@@ -32,6 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .hashing import xxh64_flat
+from .shingle import segment_unique
 from .tokenize import _ASCII_WS, _string_array_np, split_tokens
 
 _TOK_SEED = 0
@@ -151,6 +152,22 @@ def top_vocab(
     )
 
 
+def _doc_freq_partial(text, vocab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vocabulary hash, number of ``text``'s documents containing it),
+    hashes ascending; ``vocab`` sorted."""
+    flat, per_row = _ws_tokens(text)
+    h, blen = _token_hashes(flat)
+    doc_idx = np.repeat(np.arange(len(text), dtype=np.int64), np.maximum(per_row, 1))
+    if len(vocab) == 0 or len(h) == 0:
+        return h[:0], np.zeros(0, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(vocab, h), len(vocab) - 1)
+    keep = (vocab[pos] == h) & (blen > 0)
+    # doc_idx is non-decreasing: each document's kept tokens are a segment
+    offsets = np.searchsorted(doc_idx[keep], np.arange(len(text) + 1))
+    distinct, _ = segment_unique(h[keep], offsets)
+    return np.unique(distinct, return_counts=True)
+
+
 def doc_freq(
     ds: "ray.data.Dataset",  # noqa: F821
     vocab_hashes: np.ndarray,
@@ -170,29 +187,9 @@ def doc_freq(
     )
 
     def partials(batch: pa.Table) -> pa.Table:
-        vocab = ray.get(vocab_ref)
-        flat, per_row = _ws_tokens(batch.column(text_col))
-        h, blen = _token_hashes(flat)
-        raw = np.maximum(per_row, 1)
-        doc_idx = np.repeat(np.arange(batch.num_rows, dtype=np.int64), raw)
-        if len(vocab) == 0 or len(h) == 0:
-            return empty
-        pos = np.minimum(np.searchsorted(vocab, h), len(vocab) - 1)
-        keep = (vocab[pos] == h) & (blen > 0)
-        h, doc_idx = h[keep], doc_idx[keep]
-        if len(h) == 0:
-            return empty
-        order = np.lexsort((h, doc_idx))
-        d_s, h_s = doc_idx[order], h[order]
-        first = np.ones(len(d_s), dtype=bool)
-        first[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
-        hu, c = np.unique(h_s[first], return_counts=True)
-        return pa.table(
-            {
-                "h": pa.array(hu.view(np.int64), pa.int64()),
-                "c": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
+        hu, c = _doc_freq_partial(batch.column(text_col), ray.get(vocab_ref))
+        return pa.table({"h": pa.array(hu.view(np.int64), pa.int64()),
+                         "c": pa.array(c.astype(np.int64), pa.int64())})
 
     def sums(block: pa.Table) -> pa.Table:
         if block.num_rows == 0:

@@ -471,3 +471,16 @@ def split_tokens_regex(trimmed):
     import pyarrow.compute as pc
 
     return pc.split_pattern_regex(trimmed, r"\s+")
+
+
+def doc_distinct_counts_lexsort(h, doc_idx):
+    """Reference for vocab's per-document distinct sets: lexsort the
+    (hash, doc) pairs, keep the first of each adjacent run, then count the
+    documents per hash. Returns (hashes ascending, counts)."""
+    import numpy as np
+
+    order = np.lexsort((h, doc_idx))
+    d_s, h_s = doc_idx[order], h[order]
+    first = np.ones(len(d_s), dtype=bool)
+    first[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
+    return np.unique(h_s[first], return_counts=True)

@@ -118,3 +118,18 @@ def test_fingerprint_ignores_verify_margin_only():
         dataclasses.replace(CFG, num_perm=64, bands=8, rows_per_band=8).fingerprint
         != CFG.fingerprint
     )
+
+
+def test_fingerprint_refuses_pre_bandhash_tables():
+    """A v2 signature table stores ``minhash``, not the ``bandhashes``
+    column the near tier reads: its fingerprint differs, so its checkpoints
+    sit under another path and ``check_compatible`` refuses it."""
+    import dataclasses
+
+    from raydedup.config import SketchesArgumentError
+
+    v2 = dataclasses.replace(CFG, algo_version=2)
+    assert CFG.algo_version == 3
+    assert v2.fingerprint != CFG.fingerprint
+    with pytest.raises(SketchesArgumentError):
+        CFG.check_compatible(v2.fingerprint)

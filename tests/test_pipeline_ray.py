@@ -360,6 +360,23 @@ def test_unionfind_distributed_large_graph(ray_session):
     assert elapsed < 120, elapsed
 
 
+def test_unionfind_distributed_raises_without_fixed_point(ray_session):
+    """A random-order chain of 5,000 nodes needs more hash-to-min rounds
+    than ``max_rounds``: the distributed path raises, naming the round
+    count, instead of returning the chain split into several clusters."""
+    import ray.data
+
+    from raydedup.config import SketchesStateError
+    from raydedup.unionfind import cluster_edges
+
+    ids = np.random.default_rng(5).permutation(5000).astype(np.int64)
+    edges = ray.data.from_arrow(
+        pa.table({"src": pa.array(ids[:-1]), "dst": pa.array(ids[1:])})
+    )
+    with pytest.raises(SketchesStateError, match="12 rounds"):
+        cluster_edges(edges, method="distributed").materialize()
+
+
 def test_sampled_hot_key_detection(ray_session):
     """A planted hot band key (>> max_bucket_size occurrences) must be
     detected by the SAMPLED heavy-hitter pass with a sane salt count."""
@@ -595,7 +612,7 @@ def test_bucket_waves_elect_owner_bands_across_waves(ray_session):
     import ray
     import ray.data
 
-    from raydedup.lsh import band_hashes, make_band_key
+    from raydedup.lsh import make_band_key
     from raydedup.pipeline import near_edges, signatures
     from raydedup.stages import _binary_col_flat_u64
 
@@ -611,11 +628,9 @@ def test_bucket_waves_elect_owner_bands_across_waves(ray_session):
     sigs = signatures(ray.data.from_arrow(tbl), CFG).materialize()
 
     # hot: every family band key of the first half of the bands, 4 salts
-    mh = pa.concat_tables(ray.get(sigs.select_columns(["id", "minhash"]).sort("id").to_arrow_refs()))
-    flat, _ = _binary_col_flat_u64(mh.column("minhash"))
-    bh = band_hashes(
-        flat.reshape(len(mh), CFG.num_perm)[:40], CFG.bands, CFG.rows_per_band, CFG.seed
-    )
+    bt = pa.concat_tables(ray.get(sigs.select_columns(["id", "bandhashes"]).sort("id").to_arrow_refs()))
+    flat, _ = _binary_col_flat_u64(bt.column("bandhashes"))
+    bh = flat.reshape(len(bt), CFG.bands)[:40]
     keys = make_band_key(np.arange(CFG.bands, dtype=np.uint64), bh)
     hot = {int(k): 4 for k in np.unique(keys[:, : CFG.bands // 2])}
 

@@ -208,12 +208,11 @@ def test_capped_bucket_star_not_suppressed_by_owner_rule():
             }
         )
     )
-    from raydedup.lsh import band_hashes, make_band_key
-    from raydedup.stages import _binary_col_flat_u64, _matrix_binary
+    from raydedup.lsh import make_band_key
+    from raydedup.stages import _binary_col_flat_u64
 
-    mh_flat, _ = _binary_col_flat_u64(sigs.column("minhash"))
-    mh = mh_flat.reshape(n, cfg.num_perm)
-    bh = band_hashes(mh, cfg.bands, cfg.rows_per_band, cfg.seed)
+    bh_flat, _ = _binary_col_flat_u64(sigs.column("bandhashes"))
+    bh = bh_flat.reshape(n, cfg.bands)
     # identical docs co-bucket in EVERY band; simulate the band-5 bucket:
     # first co-band is 0, so the old rule suppressed all pairs here
     band = 5
@@ -223,7 +222,7 @@ def test_capped_bucket_star_not_suppressed_by_owner_rule():
             "band_key": pa.array(keys, pa.uint64()),
             "id": pa.array(np.arange(n, dtype=np.int64)),
             "band_idx": pa.array(np.full(n, band, dtype=np.uint8), pa.uint8()),
-            "bandhashes": _matrix_binary(bh),
+            "bandhashes": sigs.column("bandhashes"),
             "kmv_theta": sigs.column("kmv_theta"),
             "kmv": sigs.column("kmv"),
         }

@@ -15,6 +15,7 @@ import pytest
 import raydedup.shingle as shingle
 import raydedup.stages as stages
 from raydedup.config import SigConfig
+from raydedup.lsh import band_hashes
 from raydedup.minhash import minhash_signatures
 from raydedup.pipeline import _explode_winnow
 from raydedup.shingle import segment_unique, shingle_hashes
@@ -281,8 +282,12 @@ def _frozen_corpus() -> pa.Table:
 
 
 def _stage_digest(out: pa.Table) -> str:
+    """Every buffer of every output column but ``bandhashes``, which
+    replaced the ``minhash`` column (checked on its own below)."""
     h = hashlib.sha256()
     for name in out.column_names:
+        if name == "bandhashes":
+            continue
         h.update(name.encode())
         for buf in out.column(name).combine_chunks().buffers():
             h.update(b"-" if buf is None else buf.to_pybytes())
@@ -292,14 +297,28 @@ def _stage_digest(out: pa.Table) -> str:
 @pytest.mark.parametrize(
     "cfg, digest",
     [
-        (SigConfig(),
-         "afc5107e2b6738284f1642982b6e9d7ceac932e6f7e4447ea959069e98aeec16"),
-        (SigConfig(shingle_k=3, kmv_k=16, kmv_hash_bytes=4, winnow_k=4,
-                   winnow_window=3),
-         "e9aa96d54298819b1e5d9ba4ae0abdc31602a9c82abafc04edff8ad3ecac73e6"),
+        pytest.param(
+            SigConfig(),
+            "fa10b157debb2f826c2d05aa62357cbd00db50dbced6411dac2fa40750e0ba8e",
+            id="default_cfg",
+        ),
+        pytest.param(
+            SigConfig(shingle_k=3, kmv_k=16, kmv_hash_bytes=4, winnow_k=4,
+                      winnow_window=3),
+            "55cad30eeba3c60dbd8f1f384ea176f0c20a05563ded75780de5f25eb51c5425",
+            id="small_cfg",
+        ),
     ],
 )
 def test_signature_stage_output_is_frozen(cfg, digest):
-    """Every buffer of every output column, against a digest recorded
-    with the whole-batch sort kernels."""
-    assert _stage_digest(SignatureStage(cfg)(_frozen_corpus())) == digest
+    """The columns other than ``bandhashes``, against a digest recorded
+    with the whole-batch sort kernels (``minhash`` left out); the band
+    hashes equal banding of the MinHash matrix."""
+    corpus = _frozen_corpus()
+    out = SignatureStage(cfg)(corpus)
+    assert _stage_digest(out) == digest
+    flat, off = tokenize_hashes(pc.fill_null(corpus.column("content"), ""), seed=cfg.seed)
+    sh, sh_off = shingle_hashes(flat, off, cfg.shingle_k, cfg.seed)
+    mh = minhash_signatures(sh, sh_off, cfg.num_perm, cfg.seed)
+    want = stages._matrix_binary(band_hashes(mh, cfg.bands, cfg.rows_per_band, cfg.seed))
+    assert out.column("bandhashes").combine_chunks().equals(want)

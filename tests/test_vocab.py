@@ -96,3 +96,32 @@ def test_oov_stats_reuses_precomputed_vocab(ray_session):
     ).to_pandas()
     assert out.loc[0, "n_tokens"] == 4
     assert out.loc[0, "n_oov"] == 2  # the two gammas
+
+
+def test_doc_freq_partial_matches_lexsort_reference():
+    """The per-batch document counts of ``doc_freq`` (per-document distinct
+    sets by ``segment_unique``) equal the (hash, doc) lexsort they replaced,
+    and a brute-force count, with empty documents and documents whose
+    tokens are all out of vocabulary."""
+    from raydedup.vocab import _doc_freq_partial, _token_hashes, _ws_tokens
+    from tests.reference_impls import doc_distinct_counts_lexsort
+
+    texts = ["a b a c", "", None, "   ", "zz yy zz", "c c c", "b\ta\nb",
+             "oov1 oov2", "a", " \v ", "d e f g h i j k l m a"]
+    in_vocab = ["a", "b", "c", "d", "k"]
+    text = pa.array(texts, pa.string())
+    vocab = np.sort(_token_hashes(pa.array(in_vocab))[0])
+    hu, c = _doc_freq_partial(text, vocab)
+
+    flat, per_row = _ws_tokens(text)
+    h, blen = _token_hashes(flat)
+    doc_idx = np.repeat(np.arange(len(texts)), np.maximum(per_row, 1))
+    keep = np.isin(h, vocab) & (blen > 0)
+    ref_h, ref_c = doc_distinct_counts_lexsort(h[keep], doc_idx[keep])
+    np.testing.assert_array_equal(hu, ref_h)
+    np.testing.assert_array_equal(c, ref_c)
+
+    df = Counter(t for s in texts for t in set(_ws(s)) if t in in_vocab)
+    tok_h = dict(zip(_token_hashes(pa.array(in_vocab))[0].tolist(), in_vocab))
+    assert {tok_h[int(x)]: int(n) for x, n in zip(hu, c)} == df
+    assert len(_doc_freq_partial(pa.array(["", "oov"]), vocab)[0]) == 0
