@@ -4,14 +4,27 @@ deduped base corpus without re-verifying base-vs-base pairs.
 The training-pipeline shape this serves: a 100 TB corpus is deduped once;
 daily deltas arrive and must be (a) matched against the base, (b) deduped
 among themselves, (c) assigned to existing clusters — re-running the full
-O(corpus) pipeline per delta is wasteful. Here the base contributes only
-its persisted SIGNATURE INDEX (the `signatures()` output, no content:
-1.8-2.4 KB/doc on the perfbench inputs) and its assignment table; the
-delta pays signature computation plus ONE band shuffle over base-index +
-delta rows. No base×base pair is ever built, let alone verified
-(``cross_min_id`` of stages.bucket_pairs): a bucket without a delta member
-is dropped before its pairs are formed, and the base×base pairs of the
-other buckets are dropped before the sketch verification.
+O(corpus) pipeline per delta is wasteful. Two entry points:
+
+* ``incremental_dedup`` reads the base's SIGNATURE INDEX (the
+  `signatures()` output, no content: 1.8-2.4 KB/doc on the perfbench
+  inputs) and runs the flagship tiers over base-index + delta rows, one
+  shuffle per tier.
+* ``incremental_dedup_indexed`` reads a persisted partitioned dedup index
+  (``write_dedup_index``) instead: the delta's sha, band and fp rows go
+  through ONE tagged shuffle of delta rows only, and each part's task
+  reads just the base rows whose keys the delta carries (see the note
+  above ``write_dedup_index``).
+
+No base×base pair is ever built, let alone verified (``cross_min_id`` of
+stages.bucket_pairs): a bucket without a delta member is dropped before
+its pairs are formed, and the base×base pairs of the other buckets are
+dropped before the sketch verification. Both entry points end in one
+clustering tail (``_finish_incremental``): while ``cluster_edges`` would
+collect the edges to the driver (``DRIVER_EDGE_LIMIT``), the tail
+clusters them there and pays one Ray Data pass over the base assignment
+table plus one map over the delta signatures; above the limit it hands
+the edges to ``cluster_edges``.
 
 Id contract: delta rows carry ids strictly greater than every base id
 (append-only id space — the natural layout for arriving data). The
@@ -34,17 +47,25 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .config import DEFAULT_CONFIG, SigConfig
+from .config import DEFAULT_CONFIG, SigConfig, SketchesStateError
 from .pipeline import (
+    _assign_batch,
+    _exact_block_edges,
+    _explode_winnow,
+    _fp_block_pairs,
+    _shared_fp_block,
     detect_hot_band_keys,
     exact_edges,
     grouped_blocks,
+    key_parts,
+    lookup_roots,
     near_edges,
+    part_groups,
     signatures,
     substring_edges,
 )
-from .stages import SignatureStage
-from .unionfind import cluster_edges
+from .stages import BandEmitStage, SignatureStage, make_block_pair_emitter
+from .unionfind import DRIVER_EDGE_LIMIT, cluster_edges, unionfind_numpy
 from .io import read_parquet as _read_parquet
 
 
@@ -114,42 +135,56 @@ def _collect_small(ds: "ray.data.Dataset", cols: list[str]) -> pa.Table:
     return pa.concat_tables(tables)
 
 
-def _base_root_lookup(
-    base_assign: "ray.data.Dataset", edges: "ray.data.Dataset", boundary: int
-):
-    """(sorted base ids, their base cluster roots) for base ids that appear
-    in a cross edge — a SEMI-JOIN against the (huge) base assignment table:
-    the involved-id set is edge-bounded (tiny), broadcast once via ray.put,
-    and base_assign streams map-side against it."""
+def _edge_blocks(edges: "ray.data.Dataset"):
+    """(src, dst) arrays of every non-empty block of the MATERIALIZED
+    ``edges``, fetched block by block (no Ray Data execution)."""
+    for ref in edges.to_arrow_refs():
+        t = ray.get(ref)
+        if t.num_rows:
+            yield t.column("src").to_numpy(), t.column("dst").to_numpy()
 
-    def base_endpoints(batch: pa.Table) -> pa.Table:
-        src = batch.column("src").to_numpy()
-        dst = batch.column("dst").to_numpy()
-        both = np.concatenate([src, dst])
-        return pa.table({"id": pa.array(np.unique(both[both < boundary]))})
 
-    involved = _collect_small(
-        edges.map_batches(base_endpoints, batch_format="pyarrow"), ["id"]
-    )
-    ids = np.unique(involved.column("id").to_numpy())
+def _base_ids(arrays, boundary: int) -> np.ndarray:
+    """Sorted distinct ids below ``boundary`` over all ``arrays``."""
+    parts = [np.unique(a[a < boundary]) for a in arrays]
+    return np.unique(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
+
+
+def _semi_batch(batch: pa.Table, ref) -> pa.Table:
+    want = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    ids = batch.column("id").to_numpy()
+    pos = np.clip(np.searchsorted(want, ids), 0, len(want) - 1)
+    return batch.filter(pa.array(want[pos] == ids))
+
+
+def _base_roots(
+    base_assign: "ray.data.Dataset", ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, base cluster roots) sorted by id, for the sorted base ``ids``
+    found in ``base_assign``: one SEMI-JOIN pass that streams the (huge)
+    base assignment table map-side against the edge-bounded id set,
+    broadcast once via ray.put."""
     if len(ids) == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    ids_ref = ray.put(ids)
-
-    def semi(batch: pa.Table, ref=ids_ref) -> pa.Table:
-        want = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        b_ids = batch.column("id").to_numpy()
-        pos = np.searchsorted(want, b_ids)
-        pos = np.clip(pos, 0, len(want) - 1)
-        return batch.filter(pa.array(want[pos] == b_ids))
-
+        return ids, ids
     hits = _collect_small(
-        base_assign.map_batches(semi, batch_format="pyarrow"), ["id", "cluster_id"]
+        base_assign.map_batches(
+            _semi_batch, fn_args=(ray.put(ids),), batch_format="pyarrow"
+        ),
+        ["id", "cluster_id"],
     )
     h_ids = hits.column("id").to_numpy()
-    h_roots = hits.column("cluster_id").to_numpy()
     order = np.argsort(h_ids)
-    return h_ids[order], h_roots[order]
+    return h_ids[order], hits.column("cluster_id").to_numpy()[order]
+
+
+def _edges_to_roots(batch: pa.Table, ref) -> pa.Table:
+    keys, roots = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
+    return pa.table(
+        {
+            c: pa.array(lookup_roots(keys, roots, batch.column(c).to_numpy()))
+            for c in ("src", "dst")
+        }
+    )
 
 
 def incremental_dedup(
@@ -184,7 +219,7 @@ def incremental_dedup(
     hot = detect_hot_band_keys(all_sigs, cfg) if with_salting else None
     edges = incremental_dup_pairs(
         all_sigs, cfg, boundary, hot, with_substring=with_substring
-    ).materialize()
+    )
     return _finish_incremental(
         edges, base_assign, delta_sigs, boundary, cluster_method
     )
@@ -197,48 +232,68 @@ def _finish_incremental(
     boundary: int,
     cluster_method: str,
 ) -> dict:
-    # replace base endpoints by their BASE CLUSTER ROOT so connectivity
-    # through base clusters survives the base×base filter; roots come from
-    # an edge-bounded semi-join against the base assignment table
-    b_ids, b_roots = _base_root_lookup(base_assign, edges, boundary)
-    lookup_ref = ray.put((b_ids, b_roots))
+    """Cluster the cross and delta ``edges``; split the components into the
+    delta's assignments and the base clusters' merges.
 
-    def map_to_roots(batch: pa.Table, ref=lookup_ref) -> pa.Table:
-        ids_arr, roots_arr = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        out = {}
-        for col in ("src", "dst"):
-            v = batch.column(col).to_numpy().copy()
-            if len(ids_arr):
-                pos = np.clip(np.searchsorted(ids_arr, v), 0, len(ids_arr) - 1)
-                hit = ids_arr[pos] == v
-                v[hit] = roots_arr[pos[hit]]
-            out[col] = pa.array(v)
-        return pa.table(out)
+    Every base endpoint is replaced by its BASE CLUSTER ROOT, so paths
+    through base clusters survive the base×base filter; the roots come
+    from one semi-join pass over ``base_assign`` (:func:`_base_roots`).
+    While cluster_edges would pick 'collect' (at most DRIVER_EDGE_LIMIT
+    edges), the tail runs on the driver over the collected edges:
+    unionfind_numpy, the merges as one from_arrow table, the assignments
+    as one map over the delta signatures. Above the limit, or with
+    ``cluster_method='distributed'``, the driver keeps only the base ids
+    of the edges: the root-mapped edges go to cluster_edges, and only its
+    (id, cluster_id) result comes back."""
+    edges = edges.materialize()
+    method = cluster_method
+    if method == "auto":
+        method = "collect" if edges.count() <= DRIVER_EDGE_LIMIT else "distributed"
+    if method == "collect":
+        blocks = list(_edge_blocks(edges))
+        src, dst = (
+            np.concatenate([b[i] for b in blocks] + [np.zeros(0, np.int64)])
+            for i in (0, 1)
+        )
+        keys, roots = _base_roots(base_assign, _base_ids((src, dst), boundary))
+        nodes, cl = unionfind_numpy(
+            lookup_roots(keys, roots, src), lookup_roots(keys, roots, dst)
+        )
+    else:
+        ids = _base_ids((a for b in _edge_blocks(edges) for a in b), boundary)
+        mapped = edges.map_batches(
+            _edges_to_roots,
+            fn_args=(ray.put(_base_roots(base_assign, ids)),),
+            batch_format="pyarrow",
+        )
+        assigned = _collect_small(
+            cluster_edges(mapped, method=method), ["id", "cluster_id"]
+        )
+        order = np.argsort(assigned.column("id").to_numpy())
+        nodes = assigned.column("id").to_numpy()[order]
+        cl = assigned.column("cluster_id").to_numpy()[order]
 
-    mapped = edges.map_batches(map_to_roots, batch_format="pyarrow")
-    assigned = cluster_edges(mapped, method=cluster_method).materialize()
-
-    def split_delta(batch: pa.Table) -> pa.Table:
-        keep = batch.column("id").to_numpy() >= boundary
-        return batch.filter(pa.array(keep))
-
-    def split_merges(batch: pa.Table) -> pa.Table:
-        ids = batch.column("id").to_numpy()
-        cl = batch.column("cluster_id").to_numpy()
-        keep = (ids < boundary) & (cl != ids)
-        return pa.table(
+    delta = nodes >= boundary
+    moved = ~delta & (cl != nodes)
+    merges = ray.data.from_arrow(
+        pa.table(
             {
-                "old_cluster": pa.array(ids[keep]),
-                "new_cluster": pa.array(cl[keep]),
+                "old_cluster": pa.array(nodes[moved], pa.int64()),
+                "new_cluster": pa.array(cl[moved], pa.int64()),
             }
         )
-
-    from .pipeline import assign_clusters
-
-    assignments = assign_clusters(
-        delta_sigs, assigned.map_batches(split_delta, batch_format="pyarrow")
     )
-    merges = assigned.map_batches(split_merges, batch_format="pyarrow")
+    # materialized here: a consumer then reads its blocks without running
+    # a plan twice (to_arrow_refs executes a lazy plan and again for its schema)
+    assignments = (
+        delta_sigs.select_columns(["id"])
+        .map_batches(
+            _assign_batch,
+            fn_args=(ray.put((nodes[delta], cl[delta])),),
+            batch_format="pyarrow",
+        )
+        .materialize()
+    )
     return {"assignments": assignments, "merges": merges, "boundary": boundary}
 
 
@@ -250,13 +305,31 @@ def _finish_incremental(
 # through the band/sha/fp groupbys on every delta run — at 10^12 base files
 # that all-to-all dwarfs the delta. The indexed path amortizes it ONCE:
 # write_dedup_index() hash-partitions the base's band rows, sha postings and
-# winnow-fp postings into per-part parquet files; an incremental run then
-# shuffles ONLY delta rows (grouped by the same part function) and each
-# part's task STREAMS its base partition straight from storage (a sequential
-# scan, map-side, no exchange) before running the ordinary vectorized pair
-# emitters with the base×base filter. Partition count is fixed at index
-# build (meta.json) so delta runs always align; parts scale with base size
-# so per-task memory stays bounded.
+# winnow-fp postings into per-part parquet files (part = key_parts of the
+# row's key), one partitioned write per family. The writer keeps its three
+# shuffles: sending the families through one tagged shuffle, as the probe
+# does, measured slower on the perfbench base (498 → 608-643 ms), because
+# the concat and the per-family filter copy the in-memory band table,
+# which is most of the bytes.
+#
+# incremental_dedup_indexed() probes the index in ONE shuffle, of delta
+# rows only: the delta's sha, band and fp rows travel as one table tagged
+# by family, each row keeping the part that key_parts gives its own key,
+# i.e. the part the writer put that key in. Each part's task reads its
+# three base part files (a sequential scan, map-side, no exchange), keeps
+# only the base rows whose key occurs among the part's delta rows, and runs
+# the ordinary vectorized pair emitters with the base×base filter. The key
+# filter cannot change the output: bucket_pairs(cross_min_id=…) drops every
+# bucket without a delta member anyway, and a kept key keeps its whole
+# bucket, so capped stars and the owner-band rule see the same rows. Only
+# the fp pairs are then counted and cut (shared_fp_pairs' block fn), in one
+# grouped pass by src that the sha and band edges cross unchanged: it runs
+# in the same execution as the probe, where splitting a materialized probe
+# output would cost one more. The edges end in the shared clustering tail
+# (_finish_incremental), which runs on the driver up to DRIVER_EDGE_LIMIT
+# edges. Partition count is fixed at index build
+# (meta.json) so delta runs always align; parts scale with base size so
+# per-task memory stays bounded.
 #
 # Trade-offs, stated: the band index carries the kmv verify payload per band
 # row (~bands × kmv bytes per doc). At extreme scale use incremental_dedup()
@@ -266,6 +339,9 @@ def _finish_incremental(
 # per-run; they would misalign delta keys vs indexed keys) — over-size
 # buckets degrade to the representative-star ceiling, same as the
 # unsalted flagship.
+
+#: index subdirectory and key column of each family, in probe tag order
+_FAMILIES = (("sha", "sha256"), ("bands", "band_key"), ("fp", "fp"))
 
 
 def _write_parts(
@@ -279,8 +355,6 @@ def _write_parts(
     import os
 
     import pyarrow.parquet as pq
-
-    from .pipeline import key_parts, part_groups
 
     os.makedirs(out_dir, exist_ok=True)
 
@@ -313,13 +387,14 @@ def write_dedup_index(
     """Persist the base corpus's partitioned dedup index under ``path``:
     bands/ (band rows incl. verify payload), sha/ (sha256 postings),
     fp/ (winnow fingerprint postings), meta.json (nparts, max base id,
-    config fingerprint). Build cost ≈ one band emit + three partition
-    shuffles — paid once per base, amortized over every delta."""
+    config fingerprint, and the row counts of the three families once the
+    build is complete). One band emit and one partitioned write per
+    family, paid once per base and amortized over every delta; a re-run
+    resumes an interrupted build."""
     import json
     import os
 
-    from .pipeline import _explode_winnow, join_partitions
-    from .stages import BandEmitStage
+    from .pipeline import join_partitions
 
     # resume semantics: a partially-built index pins nparts (part files
     # written under one partition count must never mix with another)
@@ -381,29 +456,85 @@ def write_dedup_index(
     return meta
 
 
-def _index_join(
-    rows: "ray.data.Dataset", key: str, index_dir: str, nparts: int, emitter
-) -> "ray.data.Dataset":
-    """Shuffle the delta ``rows`` into the index's parts by ``key``; each
-    part's task streams its BASE partition from the index (sequential
-    parquet read, no shuffle), concatenates it with the delta rows of the
-    same part and runs the vectorized block ``emitter`` on both."""
+def _probe_rows(cfg: SigConfig, nparts: int, with_substring: bool):
+    """Map fn: delta signatures → the delta's sha, band and fp rows as one
+    table (columns absent from a family are null), tagged by family
+    (``fam``, its index in _FAMILIES) and carrying the ``part`` that
+    key_parts gives the row's own key, as write_dedup_index did."""
+    band_stage = BandEmitStage(cfg, None, carry_kmv=True)
+
+    def f(batch: pa.Table) -> pa.Table:
+        rows = [batch.select(["sha256", "id"]), band_stage(batch)]
+        if with_substring:
+            rows.append(_explode_winnow(batch.select(["id", "winnow"])))
+        return pa.concat_tables(
+            [
+                t.append_column("fam", pa.array(np.full(t.num_rows, k, np.int8)))
+                .append_column("part", pa.array(key_parts(t.column(key), nparts)))
+                for k, (t, (_, key)) in enumerate(zip(rows, _FAMILIES))
+            ],
+            promote_options="default",
+        )
+
+    return f
+
+
+def _probe_emitters(cfg: SigConfig, boundary: int) -> list:
+    """The block emitter of each family, in _FAMILIES order: the exact,
+    near and substring tiers' own emitters with the base×base filter."""
+    return [
+        lambda block: _cross_filter(boundary)(_exact_block_edges(block)),
+        make_block_pair_emitter(cfg, verify=True, hot=None, cross_min_id=boundary),
+        _fp_block_pairs(cfg.max_bucket_size, boundary),
+    ]
+
+
+def _probe_part(index_path: str, emitters):
+    """Part fn: for each family, the part's delta rows plus the base rows
+    of the same part file whose key occurs among them, through the
+    family's emitter. Output (src, dst, fp_pair); fp_pair marks the fp
+    family's pairs, which still need their shared-fingerprint count."""
     import os
 
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from .pipeline import key_parts, part_groups
-
     def run(body: pa.Table, p: int) -> pa.Table:
-        base_path = os.path.join(index_dir, f"part-{p:05d}.parquet")
-        if body.num_rows and os.path.exists(base_path):
-            base = pq.read_table(base_path, columns=body.column_names)
-            body = pa.concat_tables([base, body], promote_options="default")
-        return emitter(body)
+        fam = body.column("fam").to_numpy()
+        out = []
+        for k, ((sub, key), emit) in enumerate(zip(_FAMILIES, emitters)):
+            rows = body.filter(pa.array(fam == k))
+            base_path = os.path.join(index_path, sub, f"part-{p:05d}.parquet")
+            if rows.num_rows and os.path.exists(base_path):
+                base = pq.read_table(base_path)
+                keys = rows.column(key).combine_chunks()
+                base = base.filter(pc.is_in(base.column(key), value_set=keys))
+                rows = pa.concat_tables(
+                    [base, rows.select(base.column_names)], promote_options="default"
+                )
+            e = emit(rows).select(["src", "dst"])
+            flag = pa.array(np.full(e.num_rows, sub == "fp"))
+            out.append(e.append_column("fp_pair", flag))
+        return pa.concat_tables(out)
 
-    return part_groups(
-        rows, run, nparts, lambda b: key_parts(b.column(key), nparts)
-    )
+    return run
+
+
+def _cut_fp_pairs(cfg: SigConfig):
+    """Block fn over probe output grouped by src: the fp pairs are counted
+    and cut (_shared_fp_block); the sha and band edges pass unchanged."""
+    cut = _shared_fp_block(cfg)
+
+    def f(block: pa.Table) -> pa.Table:
+        fp = block.column("fp_pair").to_numpy(zero_copy_only=False)
+        return pa.concat_tables(
+            [
+                block.filter(pa.array(~fp)).select(["src", "dst"]),
+                cut(block.filter(pa.array(fp)).select(["src", "dst"])),
+            ]
+        )
+
+    return f
 
 
 def incremental_dedup_indexed(
@@ -416,24 +547,27 @@ def incremental_dedup_indexed(
     cluster_method: str = "auto",
 ) -> dict:
     """Incremental dedup against a persisted partitioned index
-    (write_dedup_index): only DELTA rows shuffle; base partitions stream
-    map-side inside each part's task. Output contract matches
-    incremental_dedup. Pair semantics equal the unsalted flagship tiers
-    (see the module note on salting)."""
+    (write_dedup_index). The delta's sha, band and fp rows go through ONE
+    tagged probe shuffle; each part's task reads its base part files and
+    keeps only the base rows whose key the part's delta rows carry (see
+    the note above write_dedup_index). The edges then end in the shared
+    clustering tail, on the driver up to DRIVER_EDGE_LIMIT edges. Output
+    contract matches incremental_dedup. Pair semantics equal the unsalted
+    flagship tiers (see the module note on salting). An index whose build
+    did not finish is refused (SketchesStateError)."""
     import json
     import os
-
-    from .pipeline import (
-        _exact_block_edges,
-        _explode_winnow,
-        _fp_block_pairs,
-        shared_fp_pairs,
-    )
-    from .stages import BandEmitStage, make_block_pair_emitter
 
     with open(os.path.join(index_path, "meta.json")) as f:
         meta = json.load(f)
     cfg.check_compatible(meta["cfg_fingerprint"])
+    missing = [k for k in ("band_rows", "sha_rows", "fp_rows") if k not in meta]
+    if missing:
+        raise SketchesStateError(
+            f"dedup index {index_path} is incomplete (meta.json has no "
+            f"{', '.join(missing)}): its build was interrupted; run "
+            "write_dedup_index on it again to finish it"
+        )
     nparts = int(meta["nparts"])
     boundary = int(meta["base_max_id"]) + 1
 
@@ -447,49 +581,19 @@ def incremental_dedup_indexed(
             f"index max {boundary - 1} >= delta min {delta_min}"
         )
 
-    # near tier: delta band rows shuffle; base band partitions stream
-    delta_band = delta_sigs.map_batches(
-        BandEmitStage(cfg, None, carry_kmv=True),
-        batch_format="pyarrow",
-    )
-    near_emitter = make_block_pair_emitter(
-        cfg, verify=True, hot=None, cross_min_id=boundary
-    )
-
-    def near_cross(block: pa.Table) -> pa.Table:
-        return near_emitter(block).select(["src", "dst"])
-
-    def exact_cross(block: pa.Table) -> pa.Table:
-        return _cross_filter(boundary)(_exact_block_edges(block))
-
-    edges = _index_join(
-        delta_sigs.select_columns(["sha256", "id"]),
-        "sha256",
-        os.path.join(index_path, "sha"),
+    edges = part_groups(
+        delta_sigs.map_batches(
+            _probe_rows(cfg, nparts, with_substring), batch_format="pyarrow"
+        ),
+        _probe_part(index_path, _probe_emitters(cfg, boundary)),
         nparts,
-        exact_cross,
-    ).union(
-        _index_join(
-            delta_band, "band_key", os.path.join(index_path, "bands"), nparts,
-            near_cross,
-        )
     )
-
     if with_substring:
-        delta_fp = delta_sigs.select_columns(["id", "winnow"]).map_batches(
-            _explode_winnow, batch_format="pyarrow"
-        )
-        fp_pairs = _index_join(
-            delta_fp,
-            "fp",
-            os.path.join(index_path, "fp"),
-            nparts,
-            _fp_block_pairs(cfg.max_bucket_size, boundary),
-        )
-        edges = edges.union(shared_fp_pairs(fp_pairs, cfg))
-
+        # one more grouped pass, in the same execution: fp pairs of one src
+        # met in several parts, so only here can they be counted
+        edges = grouped_blocks(edges, "src", _cut_fp_pairs(cfg))
     return _finish_incremental(
-        edges.materialize(), base_assign, delta_sigs, boundary, cluster_method
+        edges, base_assign, delta_sigs, boundary, cluster_method
     )
 
 

@@ -827,6 +827,12 @@ def shared_fp_pairs(pairs: "ray.data.Dataset", cfg: SigConfig) -> "ray.data.Data
     """(src, dst) fingerprint pairs → the pairs that share at least
     ``(min_substring_tokens - (winnow_k + winnow_window - 1)) //
     winnow_window`` fingerprints: count and cut in one grouped pass."""
+    return grouped_blocks(pairs, "src", _shared_fp_block(cfg))
+
+
+def _shared_fp_block(cfg: SigConfig):
+    """Block fn of :func:`shared_fp_pairs`: count and cut the (src, dst)
+    fingerprint pairs of a block grouped by ``src``."""
     t = cfg.winnow_k + cfg.winnow_window - 1
     min_shared = max(1, (cfg.min_substring_tokens - t) // cfg.winnow_window)
 
@@ -841,7 +847,7 @@ def shared_fp_pairs(pairs: "ray.data.Dataset", cfg: SigConfig) -> "ray.data.Data
         keep = idx[c >= min_shared]
         return pa.table({"src": pa.array(x[keep]), "dst": pa.array(y[keep])})
 
-    return grouped_blocks(pairs, "src", block)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -950,17 +956,24 @@ def assign_clusters(
     )
 
 
+def lookup_roots(keys: np.ndarray, roots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` with every value found in the sorted ``keys`` replaced by its
+    entry in ``roots``; values not in ``keys`` are kept."""
+    out = x.copy()
+    if len(keys):
+        pos = np.clip(np.searchsorted(keys, x), 0, len(keys) - 1)
+        hit = keys[pos] == x
+        out[hit] = roots[pos[hit]]
+    return out
+
+
 def _assign_batch(batch: pa.Table, ref) -> pa.Table:
     """Per-task assignment against the broadcast (ids, roots) lookup."""
     a_ids, a_roots = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
     ids = batch.column("id").to_numpy()
-    out = ids.copy()
-    if len(a_ids):
-        pos = np.searchsorted(a_ids, ids)
-        pos = np.clip(pos, 0, len(a_ids) - 1)
-        hit = a_ids[pos] == ids
-        out[hit] = a_roots[pos[hit]]
-    return pa.table({"id": pa.array(ids), "cluster_id": pa.array(out)})
+    return pa.table(
+        {"id": pa.array(ids), "cluster_id": pa.array(lookup_roots(a_ids, a_roots, ids))}
+    )
 
 
 def signatures(

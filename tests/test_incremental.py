@@ -116,6 +116,190 @@ def test_incremental_rejects_id_overlap(corpus_split):
         incremental_dedup(base_sigs, fake_assign, base, cfg)
 
 
+def _fake_assign():
+    import ray.data
+
+    zero = pa.array([0], pa.int64())
+    return ray.data.from_arrow(pa.table({"id": zero, "cluster_id": zero}))
+
+
+@pytest.fixture(scope="module")
+def indexed(corpus_split, tmp_path_factory):
+    """A dedup index over the base split, the base assignment and the
+    default probe's (assignments, merges) for the delta split."""
+    from raydedup.incremental import incremental_dedup_indexed, write_dedup_index
+    from raydedup.pipeline import dedup_clusters, signatures
+
+    _, base, delta, _, cfg = corpus_split
+    base_sigs = signatures(base, cfg).materialize()
+    base_assign = dedup_clusters(base, cfg, with_salting=False).materialize()
+    idx = str(tmp_path_factory.mktemp("indexed") / "idx")
+    write_dedup_index(base_sigs, idx, cfg)
+    out = _tables(incremental_dedup_indexed(idx, base_assign, delta, cfg))
+    return idx, base_assign, out
+
+
+def _tables(res):
+    import ray
+
+    def arrow(ds, cols):
+        tables = [t.select(cols) for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+        if not tables:
+            return pa.table({c: pa.array([], pa.int64()) for c in cols})
+        return pa.concat_tables(tables).sort_by(cols[0])
+
+    return (
+        arrow(res["assignments"], ["id", "cluster_id"]),
+        arrow(res["merges"], ["old_cluster", "new_cluster"]),
+    )
+
+
+def test_indexed_incremental_rejects_id_overlap(corpus_split, indexed):
+    from raydedup.incremental import incremental_dedup_indexed
+
+    _, base, _, _, cfg = corpus_split
+    idx = indexed[0]
+    with pytest.raises(ValueError, match="append-only"):
+        # delta = base violates the append-only id contract
+        incremental_dedup_indexed(idx, _fake_assign(), base, cfg)
+
+
+def test_indexed_incremental_refuses_unfinished_index(corpus_split, tmp_path):
+    """meta.json is written before any part file; until the build records
+    its row counts, a probe must refuse the index instead of reading the
+    missing parts as empty."""
+    import json
+    import os
+
+    from raydedup.config import SketchesStateError
+    from raydedup.incremental import incremental_dedup_indexed, write_dedup_index
+    from raydedup.pipeline import signatures
+
+    _, base, delta, _, cfg = corpus_split
+    base_sigs = signatures(base, cfg).materialize()
+    idx = str(tmp_path / "idx")
+    meta = write_dedup_index(base_sigs, idx, cfg)
+    finished = _tables(incremental_dedup_indexed(idx, _fake_assign(), delta, cfg))
+
+    pre_build = {k: meta[k] for k in ("nparts", "base_max_id", "cfg_fingerprint")}
+    with open(os.path.join(idx, "meta.json"), "w") as f:
+        json.dump(pre_build, f)
+    with pytest.raises(SketchesStateError, match=idx):
+        incremental_dedup_indexed(idx, _fake_assign(), delta, cfg)
+
+    # a rebuild keeps the existing parts and completes the meta
+    assert write_dedup_index(base_sigs, idx, cfg) == meta
+    rebuilt = _tables(incremental_dedup_indexed(idx, _fake_assign(), delta, cfg))
+    assert rebuilt[0].equals(finished[0]) and rebuilt[1].equals(finished[1])
+
+
+def test_indexed_distributed_tail_matches_driver_tail(corpus_split, indexed):
+    from raydedup.incremental import incremental_dedup_indexed
+
+    _, _, delta, _, cfg = corpus_split
+    idx, base_assign, default = indexed
+    dist = _tables(
+        incremental_dedup_indexed(
+            idx, base_assign, delta, cfg, cluster_method="distributed"
+        )
+    )
+    assert default[1].num_rows > 0  # the delta bridges base clusters
+    assert dist[0].equals(default[0])
+    assert dist[1].equals(default[1])
+
+
+def test_indexed_one_range_probe_matches_multi_range(
+    corpus_split, indexed, monkeypatch
+):
+    """At one CPU part_groups gathers every part into one range without
+    a sort shuffle; the probe must give the multi-range result."""
+    import raydedup.pipeline as pipeline
+    from raydedup.incremental import incremental_dedup_indexed
+
+    _, _, delta, _, cfg = corpus_split
+    idx, base_assign, default = indexed
+    runs = []
+    for cpus in (4, 1):  # the ray_session fixture's 4 CPUs, then one range
+        monkeypatch.setattr(pipeline, "join_partitions", lambda *a, **k: cpus)
+        runs.append(_tables(incremental_dedup_indexed(idx, base_assign, delta, cfg)))
+    for got in runs:
+        assert got[0].equals(default[0])
+        assert got[1].equals(default[1])
+
+
+def test_probe_key_filter_keeps_capped_base_bucket(ray_session, tmp_path):
+    """A base bucket over max_bucket_size with one delta member: the probe,
+    which reads only the base rows whose key the delta carries, emits the
+    same capped star as the emitters over the whole base part."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from raydedup.config import SigConfig
+    from raydedup.incremental import (
+        _FAMILIES,
+        _probe_emitters,
+        _probe_part,
+        _probe_rows,
+        incremental_dedup_indexed,
+        write_dedup_index,
+    )
+    from raydedup.pipeline import dedup_clusters, signatures
+    from raydedup.stages import SignatureStage
+
+    cfg = SigConfig(max_bucket_size=4)
+    hot = "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda mu " * 6
+    filler = [
+        f"unrelated document {i} " + " ".join(f"w{i}x{j}" for j in range(60))
+        for i in range(12)
+    ]
+    fresh = "fresh delta text " + " ".join(f"d{j}" for j in range(60))
+    base = pa.table(
+        {"id": pa.array(range(19), pa.int64()), "content": [hot] * 7 + filler}
+    )
+    delta = pa.table({"id": pa.array([100, 101], pa.int64()), "content": [hot, fresh]})
+    base_sigs = signatures(ray.data.from_arrow(base), cfg).materialize()
+    idx = str(tmp_path / "idx")
+    nparts = write_dedup_index(base_sigs, idx, cfg, nparts=3)["nparts"]
+
+    emitters = _probe_emitters(cfg, 19)
+    probe = _probe_part(idx, emitters)
+    tagged = _probe_rows(cfg, nparts, True)(SignatureStage(cfg)(delta))
+    part = tagged.column("part").to_numpy()
+    got, want, n_base = [], [], 0
+    for p in range(nparts):
+        body = tagged.filter(pa.array(part == p)).drop_columns(["part"])
+        got += probe(body, p).to_pylist()
+        fam = body.column("fam").to_numpy()
+        for k, ((sub, _), emit) in enumerate(zip(_FAMILIES, emitters)):
+            rows = body.filter(pa.array(fam == k))
+            path = os.path.join(idx, sub, f"part-{p:05d}.parquet")
+            if rows.num_rows and os.path.exists(path):
+                whole = pq.read_table(path)  # no key filter
+                n_base += whole.num_rows
+                rows = pa.concat_tables([whole, rows.select(whole.column_names)])
+            want += [
+                dict(r, fp_pair=sub == "fp")
+                for r in emit(rows).select(["src", "dst"]).to_pylist()
+            ]
+    key = lambda r: (r["src"], r["dst"], r["fp_pair"])  # noqa: E731
+    assert n_base > 0
+    assert sorted(got, key=key) == sorted(want, key=key)
+    # 8 copies > max_bucket_size: every tier's bucket is a star on the min
+    # base id, so the only cross pair is (0, 100); uncapped buckets would
+    # also pair ids 1-6 with 100
+    assert {(r["src"], r["dst"]) for r in got} == {(0, 100)}
+
+    base_assign = dedup_clusters(ray.data.from_arrow(base), cfg, with_salting=False)
+    delta_ds = ray.data.from_arrow(delta)
+    out = _tables(incremental_dedup_indexed(idx, base_assign, delta_ds, cfg))
+    assert out[0].to_pylist() == [
+        {"id": 100, "cluster_id": 0},
+        {"id": 101, "cluster_id": 101},
+    ]
+
+
 def test_cross_min_id_filters_base_pairs_pre_verify():
     """make_block_pair_emitter(cross_min_id=B) must drop base×base pairs
     and keep cross/delta pairs, without touching jaccard semantics."""
